@@ -55,6 +55,7 @@ type t = {
   ep_prepare_batch : (prepare_req list, (string * vote) list) Net.Rpc.endpoint;
   ep_commit_batch : (string list, (Store.Uid.t * int) list) Net.Rpc.endpoint;
   ep_floors : (unit, (Store.Uid.t * int) list) Net.Rpc.endpoint;
+  ep_ping : (unit, unit) Net.Rpc.endpoint;
 }
 
 let create rpc_rt =
@@ -72,6 +73,7 @@ let create rpc_rt =
     ep_prepare_batch = Net.Rpc.endpoint "store.prepare_batch";
     ep_commit_batch = Net.Rpc.endpoint "store.commit_batch";
     ep_floors = Net.Rpc.endpoint "store.floors";
+    ep_ping = Net.Rpc.endpoint "store.ping";
   }
 
 let rpc t = t.rpc_rt
@@ -290,18 +292,31 @@ let prepare_one t h node { pr_action; pr_coordinator; pr_writes } =
         Vote_stale
       end
 
-(* The committed counter of every object this store holds: the acked-floor
-   gossip payload. Batched phase-2 acks carry it (post-apply), and the
-   anti-entropy round reads it directly, so coordinators can reseed the
+(* The committed counter of each listed object (-1 = not hosted here):
+   the acked-floor gossip payload. A batched phase-2 ack carries it for the
+   objects its sub-records wrote (post-apply); the anti-entropy round reads
+   it for every object the store holds, so coordinators can reseed the
    shared per-(store,object) floor without ever having written here. *)
-let floors_of h =
+let floors_of h uids =
   List.map
     (fun uid ->
       ( uid,
         match Store.Object_store.read h.h_objects uid with
         | Some e -> e.Store.Object_state.version.Store.Version.counter
         | None -> -1 ))
-    (Store.Object_store.uids h.h_objects)
+    uids
+
+(* The objects a batch's sub-records write, read from the intent log
+   before [apply_commit] resolves the records. Already-resolved actions (a
+   duplicate delivery) contribute nothing: their floors went out on the
+   first ack. *)
+let batch_writes h actions =
+  List.concat_map
+    (fun action ->
+      match Store.Intent_log.prepared h.h_log ~action with
+      | Some { Store.Intent_log.writes; _ } -> List.map fst writes
+      | None -> [])
+    actions
 
 let add t node =
   if Hashtbl.mem t.hosts node then
@@ -315,9 +330,12 @@ let add t node =
       List.map (fun req -> (req.pr_action, prepare_one t h node req)) reqs);
   Net.Rpc.serve t.rpc_rt ~node t.ep_commit (fun action -> apply_commit h action);
   Net.Rpc.serve t.rpc_rt ~node t.ep_commit_batch (fun actions ->
+      let written = batch_writes h actions in
       List.iter (fun action -> apply_commit h action) actions;
-      floors_of h);
-  Net.Rpc.serve t.rpc_rt ~node t.ep_floors (fun () -> floors_of h);
+      floors_of h written);
+  Net.Rpc.serve t.rpc_rt ~node t.ep_floors (fun () ->
+      floors_of h (Store.Object_store.uids h.h_objects));
+  Net.Rpc.serve t.rpc_rt ~node t.ep_ping (fun () -> ());
   Net.Rpc.serve t.rpc_rt ~node t.ep_abort (fun action ->
       Store.Intent_log.resolve h.h_log ~action);
   Net.Rpc.serve t.rpc_rt ~node t.ep_decision (fun action ->
@@ -438,6 +456,8 @@ let commit_batch t ~from ?hedge ?deadline_at ?alt_of per_store =
 let floors_all t ~from ~stores =
   Net.Rpc.call_all t.rpc_rt ~from t.ep_floors
     (List.map (fun store -> (store, ())) stores)
+
+let ping t ~from ~store = Net.Rpc.call t.rpc_rt ~from ~dst:store t.ep_ping ()
 
 let decision t ~from ~coordinator ~action =
   Net.Rpc.call t.rpc_rt ~from ~dst:coordinator t.ep_decision action

@@ -23,6 +23,10 @@ let create ?metrics eng = { eng; entries = Hashtbl.create 64; metrics }
 let bump t name =
   match t.metrics with Some m -> Sim.Metrics.incr m name | None -> ()
 
+(* The table holds live entries only: an entry is filed when a grant or a
+   queued waiter needs it and reclaimed as soon as it has neither, so the
+   action-end walks ([release_all], [transfer_all]) cost the locks in
+   flight, not every key ever locked. *)
 let entry t key =
   match Hashtbl.find_opt t.entries key with
   | Some e -> e
@@ -30,6 +34,19 @@ let entry t key =
       let e = { held = []; queue = Queue.create () } in
       Hashtbl.add t.entries key e;
       e
+
+let live e = e.held <> [] || not (Queue.is_empty e.queue)
+
+(* Reclaim [e] once dead — but only while it is still the entry filed
+   under [key]. A waiter holds its entry across a suspension; if
+   [release_everything] detached it meanwhile and a later request filed a
+   fresh entry for the same key, the waiter's timeout must leave the
+   fresh one alone. *)
+let reclaim t key e =
+  if not (live e) then
+    match Hashtbl.find_opt t.entries key with
+    | Some e' when e' == e -> Hashtbl.remove t.entries key
+    | _ -> ()
 
 let held_mode e owner =
   List.assoc_opt owner e.held
@@ -93,6 +110,7 @@ let available t ~owner ~mode key =
       | Some _ -> grantable e ~owner ~mode
       | None -> Queue.is_empty e.queue && grantable e ~owner ~mode)
 
+(* A fresh entry always grants, so the refusal path never files one. *)
 let try_acquire t ~owner ~mode key =
   let e = entry t key in
   match held_mode e owner with
@@ -159,26 +177,29 @@ let acquire t ~owner ~mode ?timeout key =
             | Some w ->
                 w.w_cancelled <- true;
                 (* Our dead entry may have been blocking the queue head. *)
-                service e
+                service e;
+                reclaim t key e
             | None -> ()));
         outcome
       end
 
 let promote t ~owner ~to_mode key =
-  let e = entry t key in
-  match held_mode e owner with
+  match Hashtbl.find_opt t.entries key with
   | None -> false
-  | Some held when Mode.covers held to_mode -> true
-  | Some _ ->
-      if grantable e ~owner ~mode:to_mode then begin
-        install e ~owner ~mode:to_mode;
-        bump t "lock.promoted";
-        true
-      end
-      else begin
-        bump t "lock.promotion_refused";
-        false
-      end
+  | Some e -> (
+      match held_mode e owner with
+      | None -> false
+      | Some held when Mode.covers held to_mode -> true
+      | Some _ ->
+          if grantable e ~owner ~mode:to_mode then begin
+            install e ~owner ~mode:to_mode;
+            bump t "lock.promoted";
+            true
+          end
+          else begin
+            bump t "lock.promotion_refused";
+            false
+          end)
 
 let release t ~owner key =
   match Hashtbl.find_opt t.entries key with
@@ -187,33 +208,40 @@ let release t ~owner key =
       if List.mem_assoc owner e.held then begin
         e.held <- List.remove_assoc owner e.held;
         bump t "lock.released";
-        service e
+        service e;
+        if not (live e) then Hashtbl.remove t.entries key
       end
 
-let cancel_waits e ~owner =
-  Queue.iter
-    (fun w -> if String.equal w.w_owner owner then w.w_cancelled <- true)
-    e.queue
-
+(* Walk the live table in its own iteration order and reclaim in place.
+   The order in which waiters on different keys wake decides the order of
+   their resumptions, and seeded runs depend on it: servicing the keys in
+   any other order (say, through an owner-to-keys index) changes them. *)
 let release_all t ~owner =
-  Hashtbl.iter
+  let cancel w = if String.equal w.w_owner owner then w.w_cancelled <- true in
+  Hashtbl.filter_map_inplace
     (fun _ e ->
-      cancel_waits e ~owner;
+      Queue.iter cancel e.queue;
       if List.mem_assoc owner e.held then begin
         e.held <- List.remove_assoc owner e.held;
         bump t "lock.released"
       end;
-      service e)
+      service e;
+      if live e then Some e else None)
     t.entries
 
+(* Detach every entry: a waiter still suspended on one (it will time out,
+   or never resume) finds it gone and, by [reclaim]'s identity check,
+   cannot disturb entries filed after the crash. *)
 let release_everything t =
   Hashtbl.iter
     (fun _ e ->
       e.held <- [];
       Queue.iter (fun w -> w.w_cancelled <- true) e.queue;
       Queue.clear e.queue)
-    t.entries
+    t.entries;
+  Hashtbl.reset t.entries
 
+(* Moving a holder never empties an entry, so nothing is reclaimed here. *)
 let transfer_all t ~from_owner ~to_owner =
   Hashtbl.iter
     (fun _ e ->
@@ -262,6 +290,8 @@ let locked_keys t ~owner =
     t.entries []
   |> List.sort String.compare
 
+let live_entries t = Hashtbl.length t.entries
+
 let pp ppf t =
   let keys =
     Hashtbl.fold (fun k _ acc -> k :: acc) t.entries [] |> List.sort String.compare
@@ -269,13 +299,11 @@ let pp ppf t =
   List.iter
     (fun key ->
       let e = Hashtbl.find t.entries key in
-      if e.held <> [] || not (Queue.is_empty e.queue) then begin
-        Format.fprintf ppf "%s:" key;
-        List.iter
-          (fun (o, m) -> Format.fprintf ppf " %s=%a" o Mode.pp m)
-          (List.sort (fun (a, _) (b, _) -> String.compare a b) e.held);
-        let q = waiting t key in
-        if q > 0 then Format.fprintf ppf " (+%d waiting)" q;
-        Format.fprintf ppf "@."
-      end)
+      Format.fprintf ppf "%s:" key;
+      List.iter
+        (fun (o, m) -> Format.fprintf ppf " %s=%a" o Mode.pp m)
+        (List.sort (fun (a, _) (b, _) -> String.compare a b) e.held);
+      let q = waiting t key in
+      if q > 0 then Format.fprintf ppf " (+%d waiting)" q;
+      Format.fprintf ppf "@.")
     keys

@@ -17,7 +17,19 @@
     blocked, which prevents writer starvation. Lock {e promotion}
     ([promote]) is the paper's try-operation: it succeeds immediately or
     fails without waiting, and a failed promotion aborts the client action
-    (§4.2.1). *)
+    (§4.2.1).
+
+    The table holds {e live} entries only: a key is filed when a grant or
+    a queued waiter needs it, and reclaimed as soon as it has no holder
+    and no queued waiter — after {!release}, {!release_all} and a
+    waiter's timeout ({!transfer_all} moves holders and never empties an
+    entry). Refusals ({!promote},
+    {!try_acquire}, {!available}) never file an entry. The action-end
+    walks therefore cost the locks in flight, not every key ever locked.
+    They still visit the live keys in the table's own iteration order:
+    the order in which a release wakes waiters on different keys decides
+    the order of their resumptions, so servicing keys in any other order
+    (say, through a per-owner index) would change seeded runs. *)
 
 type t
 (** A lock manager. *)
@@ -66,7 +78,9 @@ val release_all : t -> owner:owner -> unit
 val release_everything : t -> unit
 (** Drop every lock and cancel every waiter — a crash of the hosting node
     wipes its volatile lock table. Waiting fibers are never resumed (they
-    died with the node or will time out). *)
+    died with the node or will time out). The dropped entries are
+    detached: a detached waiter's later timeout leaves alone any entry
+    filed for the same key since. *)
 
 val transfer_all : t -> from_owner:owner -> to_owner:owner -> unit
 (** Move every lock held by [from_owner] to [to_owner], merging modes by
@@ -81,6 +95,11 @@ val holders : t -> string -> (owner * Mode.t) list
 val all_held : t -> (string * (owner * Mode.t) list) list
 (** Every key with at least one holder, with its holders — sorted both
     ways. Quiescence audits assert this is empty after a world drains. *)
+
+val live_entries : t -> int
+(** Number of entries in the table — keys with a holder or a queued
+    waiter. Zero once every action has ended and every waiter has been
+    granted or given up: quiescence audits assert it. *)
 
 val waiting : t -> string -> int
 (** Number of queued (unsatisfied) requests on [key]. *)

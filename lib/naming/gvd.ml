@@ -1639,6 +1639,7 @@ let all_uids t =
   Hashtbl.fold (fun _ e acc -> e.e_uid :: acc) t.entries [] |> List.sort Store.Uid.compare
 
 let residual_locks t = Lockmgr.Manager.all_held t.locks
+let lock_entries t = Lockmgr.Manager.live_entries t.locks
 
 let residual_actions t =
   let acts = Hashtbl.create 8 in

@@ -429,6 +429,11 @@ val residual_locks :
 (** Database lock-table keys still held by some action. A quiesced world
     has released everything: audits assert this is empty. *)
 
+val lock_entries : t -> int
+(** Entries in the shard's lock table ({!Lockmgr.Manager.live_entries}).
+    Zero in a quiesced world; stronger than [residual_locks t = []], since
+    an entry the manager failed to reclaim also counts. *)
+
 val residual_actions : t -> string list
 (** Actions that still have staged deltas or before-images on this shard
     — empty once every action has completed (committed or aborted). *)

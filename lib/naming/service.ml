@@ -171,8 +171,8 @@ let create ?seed ?latency ?(lock_timeout = 30.0) ?(use_exclude_write = true)
      server node, probing the stores' latency health and driving the
      §4.2 Exclude/Include protocols for gray failures. The plane lives
      in [lib/replica], below the naming tier, so the naming-facing
-     drivers are injected here: the probe is a floors read, the Exclude
-     is the observer-driven validated round, and the re-Include spawns
+     drivers are injected here: the probe is a payload-free ping, the
+     Exclude is the observer-driven validated round, and the re-Include spawns
      the optimistic catch-up reintegration on the healed store itself
      (it must run there — the include fence and state seed are the
      store's own atomic action). *)
@@ -186,10 +186,7 @@ let create ?seed ?latency ?(lock_timeout = 30.0) ?(use_exclude_write = true)
           d_servers = topology.server_nodes;
           d_probe =
             (fun ~from ~store ->
-              match Action.Store_host.floors_all sh ~from ~stores:[ store ] with
-              | [ (_, Ok _) ] -> Ok ()
-              | [ (_, Error e) ] -> Error e
-              | _ -> Error Net.Rpc.No_service);
+              Action.Store_host.ping sh ~from ~store);
           d_exclude =
             (fun ~from ~store ->
               Reintegration.exclude_store_now bdr ~from ~node:store ());

@@ -86,11 +86,14 @@ val create :
     docs/PROTOCOLS.md §14): concurrent commits whose store sets overlap
     merge for up to this much simulated time (closing early on
     quiescence) and pay one prepare and one phase-2 scatter per store
-    for the whole batch, with acked-version floors piggybacked on the
-    batched phase-2 acks. At 0.0 the plane is off and byte-identical to
+    for the whole batch. Each batched phase-2 ack piggybacks the
+    acked-version floors of the objects its batch wrote on that store —
+    sized by the batch, not by the store, so a commit costs the same in
+    a world of any size. At 0.0 the plane is off and byte-identical to
     the unbatched tree. [floor_gossip_period] (default 0.0 = off)
     additionally runs a low-rate anti-entropy daemon that folds every
-    store's committed counters into the shared floor. Its idle waits are
+    store's committed counters into the shared floor, covering the
+    objects no batch has written. Its idle waits are
     daemon sleeps ({!Sim.Engine.daemon_sleep}), so drain-mode [run]
     still terminates with the daemon parked — gossip-enabled worlds work
     under both [run ~until] and the chaos harness's quiescence drain —
@@ -120,8 +123,10 @@ val create :
     hysteresis window, as seen by a quorum of controllers, are Excluded
     from their [St] sets through the optimistic validated round, and
     re-Included (with catch-up through the reintegration fence) once
-    they heal, with a cooldown damping membership flaps.
-    [autonomic_config] overrides {!Replica.Autonomic.default_config}.
+    they heal, with a cooldown damping membership flaps. Each probe is a
+    payload-free {!Action.Store_host.ping}, so probing costs the same
+    however many objects a store holds. [autonomic_config] overrides
+    {!Replica.Autonomic.default_config}.
 
     [bind_cache_lease] (default off) enables the client-side lease cache
     of bind results with that lease duration (see {!Bind_cache}).

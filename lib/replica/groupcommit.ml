@@ -29,11 +29,12 @@
    a chaos world cannot wedge a batchmate forever.
 
    Piggybacked floor gossip: a batched phase-2 ack carries the store's
-   committed counter for every object it holds; folding those into
-   {!Oplog.note_store} lets a coordinator that never wrote an object —
-   e.g. a freshly activated server — base its first copy-back on a
-   delta. {!anti_entropy} is the same exchange for quiet stores, driven
-   by an optional low-rate daemon (see {!Naming.Service.create}).
+   committed counter for every object the batch wrote there; folding
+   those into {!Oplog.note_store} lets a coordinator that never wrote an
+   object base its next copy-back on a delta. {!anti_entropy} is the
+   whole-store exchange, covering quiet stores and objects no batch has
+   written, driven by an optional low-rate daemon (see
+   {!Naming.Service.create}).
 
    Off means off: with [window = 0.0] (the default) no call here is ever
    made — {!Replica.Commit.attach} guards every entry point on
@@ -438,8 +439,9 @@ let abort_batched t ?alt_of ~client ~stores action =
 (* One anti-entropy round: read every store's committed counters and fold
    them into the shared floor. Cheap (one scatter, no writes) and safe
    (the floor is a monotone max; a racing commit only raises it), it
-   covers the stores the piggyback cannot: quiet ones, and floors lost
-   to {!Oplog.drop_store} when a store crashed. *)
+   covers what the batch-scoped piggyback cannot: quiet stores, objects
+   no batch has written, and floors lost to {!Oplog.drop_store} when a
+   store crashed. *)
 let anti_entropy t ~from ~stores =
   Sim.Metrics.incr t.gc_metrics "groupcommit.anti_entropy_rounds";
   List.iter

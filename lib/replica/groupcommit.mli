@@ -1,8 +1,8 @@
 (** Coordinator-side group commit: concurrent 2PC copy-backs whose store
     sets overlap merge into one batch that pays one prepare scatter and
     one phase-2 scatter per store ({!Action.Store_host.prepare_batch} /
-    [commit_batch]), with the store's acked-version floors piggybacked on
-    the batched phase-2 acks ({!Oplog.note_store}).
+    [commit_batch]), with the acked-version floors of the batch's objects
+    piggybacked on the batched phase-2 acks ({!Oplog.note_store}).
 
     Batches close on a window ({!set_window}) with quiescence-pull: the
     window ends early as soon as no commit that could still join is in
@@ -113,7 +113,8 @@ val abort_batched :
 
 val anti_entropy : t -> from:Net.Network.node_id -> stores:Net.Network.node_id list -> unit
 (** One read-only gossip round: fetch every store's committed counters
-    and fold them into the shared floor — covers quiet stores and floors
-    lost to a store crash ({!Oplog.drop_store}). Independent of the
+    and fold them into the shared floor — covers quiet stores, objects
+    no batch has written, and floors lost to a store crash
+    ({!Oplog.drop_store}). Independent of the
     batch window; {!Naming.Service.create}'s [floor_gossip_period] runs
     this from a daemon fiber. Must run in a fiber on [from]. *)

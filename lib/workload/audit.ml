@@ -103,8 +103,14 @@ let chaos w =
               (String.concat ", " counters)
           end)
         (Gvd.all_uids g);
+      (* The lock table holds live entries only, so a quiesced shard's
+         table is empty: a residual entry is a held lock, or one the
+         manager failed to reclaim. *)
       (match Gvd.residual_locks g with
-      | [] -> ()
+      | [] ->
+          let n = Gvd.lock_entries g in
+          if n > 0 then
+            add "shard %s: %d unreclaimed lock-table entries" (Gvd.node g) n
       | held ->
           add "shard %s: residual database locks on %s" (Gvd.node g)
             (String.concat ", " (List.map fst held)));

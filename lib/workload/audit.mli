@@ -22,9 +22,9 @@ val chaos : Naming.Service.t -> string list
 (** Consolidated post-chaos audit, meaningful only after the world has
     drained (and, when faults crashed clients, after cleanup swept the
     orphans). Checks every object's [StA] mutual consistency, use-list
-    quiescence (no orphaned counters), residual naming-database locks and
-    staged action state, unresolved 2PC reservations in every reachable
-    intent log, server instance residue (held locks, staged invocations),
+    quiescence (no orphaned counters), a non-empty naming-database lock
+    table (held locks or unreclaimed entries) and staged action state,
+    unresolved 2PC reservations in every reachable intent log, server instance residue (held locks, staged invocations),
     and leaked (still-suspended) fibers of live nodes. Returns one line
     per violation — empty means the world quiesced clean. *)
 

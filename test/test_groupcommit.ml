@@ -129,10 +129,11 @@ let test_singleton_matches_solo () =
    the second object's version at store t1 behind the bound instance's
    back, so that member votes Vote_stale while its batchmate is all-yes. *)
 
-let paired_world ?(seed = 21L) ~sabotage () =
+let paired_world ?(seed = 21L) ?(bystander = false) ~sabotage () =
   let w = mk_world ~seed ~window:5.0 [ "c1"; "c2" ] in
   let uid1 = new_counter w "obj-1" in
   let uid2 = new_counter w "obj-2" in
+  if bystander then ignore (new_counter w "obj-3");
   Service.run ~until:1.0 w;
   let eng = Service.engine w in
   if sabotage then
@@ -207,6 +208,41 @@ let test_floor_piggyback () =
             (Some v.Store.Version.counter)
             (Replica.Oplog.store_floor olog ~store ~uid))
         [ uid1; uid2 ])
+    stores
+
+(* The batched ack is scoped to its batch: it carries the floors of the
+   objects the batch wrote, never a listing of the whole store. An
+   untouched third object on the same stores gets no floor from it. *)
+
+let test_ack_scoped_to_batch () =
+  let w, uid1, uid2, results = paired_world ~bystander:true ~sabotage:false () in
+  let m = Service.metrics w in
+  check_bool "both committed" true
+    (Hashtbl.find results "c1" = Ok () && Hashtbl.find results "c2" = Ok ());
+  check_int "one batched phase 2" 1 (counter m "groupcommit.p2_batches");
+  check_int "one floor per written (store, object)" 4
+    (counter m "groupcommit.floors_gossiped");
+  let olog = Replica.Server.oplog (Service.server_runtime w) in
+  let sh = Service.store_host w in
+  List.iter
+    (fun store ->
+      let os = Action.Store_host.objects sh store in
+      List.iter
+        (fun uid ->
+          check_bool
+            (Printf.sprintf "batch object floor at %s" store)
+            true
+            (Replica.Oplog.store_floor olog ~store ~uid <> None))
+        [ uid1; uid2 ];
+      let bystander =
+        List.find
+          (fun uid -> not (List.mem uid [ uid1; uid2 ]))
+          (Store.Object_store.uids os)
+      in
+      Alcotest.(check (option int))
+        (Printf.sprintf "bystander has no floor at %s" store)
+        None
+        (Replica.Oplog.store_floor olog ~store ~uid:bystander))
     stores
 
 (* ------------------------------------------------------------------ *)
@@ -367,6 +403,8 @@ let suite =
           test_peel_out;
         Alcotest.test_case "floors piggyback on batched phase-2 acks" `Quick
           test_floor_piggyback;
+        Alcotest.test_case "pin: batched ack carries only the batch's floors"
+          `Quick test_ack_scoped_to_batch;
         Alcotest.test_case "anti-entropy converges floors after a crash" `Quick
           test_anti_entropy_convergence;
         Alcotest.test_case "floor-gossip daemon runs on its period" `Quick

@@ -195,6 +195,73 @@ let test_waiting_count () =
   Sim.Engine.run eng;
   check_int "none waiting" 0 (Manager.waiting mgr "k")
 
+(* The table holds live entries only. *)
+
+let test_release_reclaims_entries () =
+  with_engine (fun _eng mgr ->
+      for i = 1 to 50 do
+        let key = Printf.sprintf "k%d" i in
+        check_bool key true (Manager.try_acquire mgr ~owner:"a" ~mode:Mode.Write key)
+      done;
+      check_bool "shared" true (Manager.try_acquire mgr ~owner:"b" ~mode:Mode.Read "r");
+      check_int "one entry per locked key" 51 (Manager.live_entries mgr);
+      Manager.release mgr ~owner:"b" "r";
+      check_int "release reclaims" 50 (Manager.live_entries mgr);
+      Manager.release_all mgr ~owner:"a";
+      check_int "release_all reclaims" 0 (Manager.live_entries mgr))
+
+let test_sole_waiter_timeout_leaves_no_entry () =
+  let eng = Sim.Engine.create () in
+  let mgr = Manager.create eng in
+  check_bool "w" true (Manager.try_acquire mgr ~owner:"a1" ~mode:Mode.Write "k");
+  let outcome = ref (Ok ()) in
+  Sim.Engine.spawn eng (fun () ->
+      outcome := Manager.acquire mgr ~owner:"a2" ~mode:Mode.Read ~timeout:3.0 "k");
+  Sim.Engine.schedule eng ~delay:5.0 (fun () -> Manager.release mgr ~owner:"a1" "k");
+  Sim.Engine.run ~until:4.0 eng;
+  check_bool "timed out" true (!outcome = Error `Timeout);
+  check_int "no waiter left" 0 (Manager.waiting mgr "k");
+  check_int "holder's entry only" 1 (Manager.live_entries mgr);
+  Sim.Engine.run eng;
+  check_int "reclaimed" 0 (Manager.live_entries mgr)
+
+let test_failed_requests_file_nothing () =
+  with_engine (fun _eng mgr ->
+      check_bool "promote refused" false
+        (Manager.promote mgr ~owner:"ghost" ~to_mode:Mode.Write "k");
+      check_bool "available" true
+        (Manager.available mgr ~owner:"ghost" ~mode:Mode.Write "k");
+      check_int "nothing filed" 0 (Manager.live_entries mgr);
+      check_bool "w" true (Manager.try_acquire mgr ~owner:"a" ~mode:Mode.Write "k");
+      check_bool "try refused" false
+        (Manager.try_acquire mgr ~owner:"b" ~mode:Mode.Read "k");
+      check_bool "promote without a lock refused" false
+        (Manager.promote mgr ~owner:"b" ~to_mode:Mode.Write "k");
+      check_int "still one entry" 1 (Manager.live_entries mgr))
+
+(* A waiter suspended on an entry that a crash ([release_everything])
+   detached must not, when it times out, reclaim the fresh entry filed
+   for the same key after the crash. *)
+let test_detached_waiter_spares_fresh_entry () =
+  let eng = Sim.Engine.create () in
+  let mgr = Manager.create eng in
+  check_bool "w" true (Manager.try_acquire mgr ~owner:"a1" ~mode:Mode.Write "k");
+  let outcome = ref (Ok ()) in
+  Sim.Engine.spawn eng (fun () ->
+      outcome := Manager.acquire mgr ~owner:"a2" ~mode:Mode.Read ~timeout:5.0 "k");
+  Sim.Engine.schedule eng ~delay:1.0 (fun () -> Manager.release_everything mgr);
+  Sim.Engine.schedule eng ~delay:2.0 (fun () ->
+      check_bool "fresh grant" true
+        (Manager.try_acquire mgr ~owner:"a3" ~mode:Mode.Write "k"));
+  Sim.Engine.run eng;
+  check_bool "detached waiter timed out" true (!outcome = Error `Timeout);
+  Alcotest.(check (list string))
+    "fresh holder kept" [ "a3" ]
+    (List.map fst (Manager.holders mgr "k"));
+  check_int "fresh entry kept" 1 (Manager.live_entries mgr);
+  check_bool "fresh lock still excludes" false
+    (Manager.try_acquire mgr ~owner:"a4" ~mode:Mode.Read "k")
+
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
@@ -251,6 +318,12 @@ let suite =
         tc "release all wakes" `Quick test_release_all_and_waking;
         tc "transfer to parent" `Quick test_transfer_to_parent;
         tc "waiting count" `Quick test_waiting_count;
+        tc "release reclaims entries" `Quick test_release_reclaims_entries;
+        tc "sole waiter timeout leaves no entry" `Quick
+          test_sole_waiter_timeout_leaves_no_entry;
+        tc "failed requests file nothing" `Quick test_failed_requests_file_nothing;
+        tc "detached waiter spares fresh entry" `Quick
+          test_detached_waiter_spares_fresh_entry;
         Test_util.qcheck prop_holders_pairwise_compatible;
       ] );
   ]

@@ -296,6 +296,67 @@ let test_split_undo_no_resurrection () =
     (Gvd.current_st gvd uid);
   check_bool "B's counters rolled back too" true (Gvd.quiescent gvd uid)
 
+(* Defect: a commit's cost grew with the number of objects that exist:
+   every batched phase-2 ack listed the committed counter of every object
+   on the store, and the batch leader folded the whole listing. The same
+   work — 20 clients x 20 scheme-B [add 1] actions on uniformly random
+   objects, default knobs, so group commit is on — must allocate about as
+   much per commit in a world of 8000 objects as in one of 200 (the
+   defect made it about 8x). *)
+let minor_words_per_commit ~objects =
+  let servers = [ "s1"; "s2"; "s3"; "s4" ] in
+  let clients = List.init 20 (fun i -> Printf.sprintf "c%d" i) in
+  let w =
+    Service.create ~seed:7L
+      {
+        Service.gvd_node = "ns";
+        gvd_nodes = [ "ns1"; "ns2"; "ns3" ];
+        server_nodes = servers;
+        store_nodes = [ "t1"; "t2"; "t3" ];
+        client_nodes = clients;
+      }
+  in
+  (* The debug trace keeps a string per protocol step; measure the
+     protocol, not that log. *)
+  Sim.Trace.set_enabled (Service.trace w) false;
+  let uids =
+    Array.init objects (fun i ->
+        Service.create_object w ~name:(Printf.sprintf "o%d" i) ~impl:"counter"
+          ~sv:servers ~st:[ "t1"; "t2" ] ())
+  in
+  Service.run ~until:1.0 w;
+  let rng = Sim.Rng.create 5L in
+  let commits = ref 0 in
+  List.iter
+    (fun client ->
+      let crng = Sim.Rng.split rng in
+      Service.spawn_client w client (fun () ->
+          for _ = 1 to 20 do
+            let uid = uids.(Sim.Rng.int crng objects) in
+            match
+              Service.with_bound w ~client ~scheme:Scheme.Independent
+                ~policy:Replica.Policy.Single_copy_passive ~uid
+                (fun act group -> ignore (Service.invoke w group ~act "add 1"))
+            with
+            | Ok () -> incr commits
+            | Error _ -> ()
+          done))
+    clients;
+  let before = Gc.minor_words () in
+  Service.run w;
+  let words = Gc.minor_words () -. before in
+  check_int "every action committed" 400 !commits;
+  words /. float_of_int !commits
+
+let test_commit_cost_independent_of_world () =
+  let small = minor_words_per_commit ~objects:200 in
+  let large = minor_words_per_commit ~objects:8000 in
+  if large > 1.25 *. small then
+    Alcotest.failf
+      "minor words per commit: %.0f at 8000 objects vs %.0f at 200 (%.2fx > \
+       1.25x)"
+      large small (large /. small)
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -317,5 +378,7 @@ let suite =
           test_stale_replica_does_not_outrace_live_one;
         tc "split undo: no cross-lock resurrection" `Quick
           test_split_undo_no_resurrection;
+        tc "pin: commit cost independent of world size" `Quick
+          test_commit_cost_independent_of_world;
       ] );
   ]
