@@ -30,6 +30,8 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val to_string : t -> string
-(** Canonical rendering, also used as the lock-owner key. *)
+(** Canonical rendering, also used as the lock-owner key. The string is
+    built once, by [top], [child] or [parent], so [to_string] does not
+    allocate. *)
 
 val pp : Format.formatter -> t -> unit

@@ -5,6 +5,7 @@ type waiter = {
   w_mode : Mode.t;
   w_resume : unit Sim.Engine.resumer;
   mutable w_cancelled : bool;
+  mutable w_installed : bool; (* a grant made [w_owner] a holder *)
 }
 
 type entry = {
@@ -90,6 +91,7 @@ let rec service e =
   | Some w ->
       if grantable e ~owner:w.w_owner ~mode:w.w_mode then begin
         ignore (Queue.pop e.queue);
+        w.w_installed <- held_mode e w.w_owner = None;
         install e ~owner:w.w_owner ~mode:w.w_mode;
         w.w_resume (Ok ());
         service e
@@ -164,7 +166,13 @@ let acquire t ~owner ~mode ?timeout key =
         let outcome =
           wait (fun resume ->
               let w =
-                { w_owner = owner; w_mode = mode; w_resume = resume; w_cancelled = false }
+                {
+                  w_owner = owner;
+                  w_mode = mode;
+                  w_resume = resume;
+                  w_cancelled = false;
+                  w_installed = false;
+                }
               in
               waiter_ref := Some w;
               Queue.push w e.queue)
@@ -176,6 +184,11 @@ let acquire t ~owner ~mode ?timeout key =
             match !waiter_ref with
             | Some w ->
                 w.w_cancelled <- true;
+                (* A release can grant us after the timer fired but before
+                   this fiber resumed; the caller is told [Timeout], so
+                   give the grant back. *)
+                if w.w_installed then
+                  e.held <- List.remove_assoc owner e.held;
                 (* Our dead entry may have been blocking the queue head. *)
                 service e;
                 reclaim t key e

@@ -7,19 +7,26 @@
    consumers are Retry's degraded breaker trips, the hedged scatter delay,
    and health-ordered replica preference — all knob-gated. *)
 
+(* Float-only records store their fields unboxed, so updating a score
+   allocates nothing. Sample counts are floats for the same reason; they
+   stay exact far past any run's length. *)
 type dest = {
   mutable d_ewma : float; (* smoothed round-trip latency *)
   mutable d_dev : float; (* smoothed mean absolute deviation *)
   mutable d_slow : float; (* EWMA of the slow-call indicator, in [0,1] *)
-  mutable d_samples : int;
+  mutable d_samples : float;
   mutable d_last : float; (* virtual time of the newest sample *)
+}
+
+type fleet = {
+  mutable g_ewma : float; (* fleet-wide smoothed latency *)
+  mutable g_dev : float;
+  mutable g_samples : float;
 }
 
 type t = {
   dests : (string, dest) Hashtbl.t;
-  mutable g_ewma : float; (* fleet-wide smoothed latency *)
-  mutable g_dev : float;
-  mutable g_samples : int;
+  fleet : fleet;
   slow_floor : float;
   tau : float; (* slow-score decay constant *)
 }
@@ -27,14 +34,19 @@ type t = {
 let alpha = 0.2
 
 let create ?(slow_floor = 8.0) ?(tau = 60.0) () =
-  { dests = Hashtbl.create 16; g_ewma = 0.0; g_dev = 0.0; g_samples = 0; slow_floor; tau }
+  {
+    dests = Hashtbl.create 16;
+    fleet = { g_ewma = 0.0; g_dev = 0.0; g_samples = 0.0 };
+    slow_floor;
+    tau;
+  }
 
 let dest t dst =
-  match Hashtbl.find_opt t.dests dst with
-  | Some d -> d
-  | None ->
+  match Hashtbl.find t.dests dst with
+  | d -> d
+  | exception Not_found ->
       let d =
-        { d_ewma = 0.0; d_dev = 0.0; d_slow = 0.0; d_samples = 0; d_last = neg_infinity }
+        { d_ewma = 0.0; d_dev = 0.0; d_slow = 0.0; d_samples = 0.0; d_last = neg_infinity }
       in
       Hashtbl.add t.dests dst d;
       d
@@ -42,8 +54,8 @@ let dest t dst =
 (* A destination that stopped being sampled must not stay condemned
    forever: the slow score decays toward 0 with time constant [tau], so
    health recovers even while nobody calls. *)
-let decayed_slow t d ~now =
-  if d.d_samples = 0 then 0.0
+let[@inline] decayed_slow t d ~now =
+  if d.d_samples = 0.0 then 0.0
   else
     let dt = now -. d.d_last in
     if dt <= 0.0 then d.d_slow else d.d_slow *. exp (-.dt /. t.tau)
@@ -53,42 +65,51 @@ let decayed_slow t d ~now =
    scoring as slow (judging it against its own EWMA would normalize the
    sickness away). The floor keeps cold starts and sub-latency noise from
    flagging anything. *)
-let slow_threshold t =
-  Float.max t.slow_floor (3.0 *. (if t.g_samples = 0 then 0.0 else t.g_ewma))
+let[@inline] slow_threshold t =
+  Float.max t.slow_floor
+    (3.0 *. (if t.fleet.g_samples = 0.0 then 0.0 else t.fleet.g_ewma))
 
 let is_slow t ~latency = latency > slow_threshold t
 
-let note_sample t ~dst ~now ~latency ~slow =
-  let d = dest t dst in
-  let blend prev x =
-    if d.d_samples = 0 then x else ((1.0 -. alpha) *. prev) +. (alpha *. x)
-  in
-  d.d_slow <- blend (decayed_slow t d ~now) (if slow then 1.0 else 0.0);
-  (match latency with
-  | None -> ()
-  | Some l ->
-      d.d_dev <- blend d.d_dev (Float.abs (l -. d.d_ewma));
-      d.d_ewma <- blend d.d_ewma l;
-      let gblend prev x =
-        if t.g_samples = 0 then x else ((1.0 -. alpha) *. prev) +. (alpha *. x)
-      in
-      t.g_dev <- gblend t.g_dev (Float.abs (l -. t.g_ewma));
-      t.g_ewma <- gblend t.g_ewma l;
-      t.g_samples <- t.g_samples + 1);
-  d.d_samples <- d.d_samples + 1;
+let[@inline] blend ~first prev x =
+  if first then x else ((1.0 -. alpha) *. prev) +. (alpha *. x)
+
+(* The slow indicator and the sample count move on every sample; the
+   latency EWMAs only on a completed call ([note_ok]). *)
+let[@inline] note_slow t d ~now ~slow =
+  d.d_slow <-
+    blend ~first:(d.d_samples = 0.0) (decayed_slow t d ~now)
+      (if slow then 1.0 else 0.0)
+
+let[@inline] count_sample d ~now =
+  d.d_samples <- d.d_samples +. 1.0;
   d.d_last <- now
 
 let note_ok t ~dst ~now ~latency =
-  note_sample t ~dst ~now ~latency:(Some latency) ~slow:(is_slow t ~latency)
+  let slow = is_slow t ~latency in
+  let d = dest t dst in
+  note_slow t d ~now ~slow;
+  let first = d.d_samples = 0.0 in
+  d.d_dev <- blend ~first d.d_dev (Float.abs (latency -. d.d_ewma));
+  d.d_ewma <- blend ~first d.d_ewma latency;
+  let g = t.fleet in
+  let first = g.g_samples = 0.0 in
+  g.g_dev <- blend ~first g.g_dev (Float.abs (latency -. g.g_ewma));
+  g.g_ewma <- blend ~first g.g_ewma latency;
+  g.g_samples <- g.g_samples +. 1.0;
+  count_sample d ~now
 
 (* A transport failure (timeout, crash detection) says nothing about how
    fast the destination serves when it does answer — it is the failure
    detector's business — but a timeout IS a slow call from the caller's
    seat, so it feeds the slow indicator without polluting the latency
    EWMA. *)
-let note_failure t ~dst ~now = note_sample t ~dst ~now ~latency:None ~slow:true
+let note_failure t ~dst ~now =
+  let d = dest t dst in
+  note_slow t d ~now ~slow:true;
+  count_sample d ~now
 
-let samples t dst = (dest t dst).d_samples
+let samples t dst = int_of_float (dest t dst).d_samples
 let latency_ewma t dst = (dest t dst).d_ewma
 
 let slow_score t ~now dst =
@@ -104,11 +125,12 @@ let slow_score t ~now dst =
 let score t ~now dst =
   match Hashtbl.find_opt t.dests dst with
   | None -> 1.0
-  | Some d when d.d_samples = 0 -> 1.0
+  | Some d when d.d_samples = 0.0 -> 1.0
   | Some d ->
       let slow = decayed_slow t d ~now in
-      let base = if t.g_samples = 0 || t.g_ewma <= 0.0 then 1.0
-        else Float.min 1.0 (t.g_ewma /. Float.max t.g_ewma d.d_ewma) in
+      let g = t.fleet in
+      let base = if g.g_samples = 0.0 || g.g_ewma <= 0.0 then 1.0
+        else Float.min 1.0 (g.g_ewma /. Float.max g.g_ewma d.d_ewma) in
       (1.0 -. slow) *. base
 
 let rank t ~now nodes =
@@ -126,7 +148,7 @@ let sustained_slow t ~now dst =
   match Hashtbl.find_opt t.dests dst with
   | None -> false
   | Some d ->
-      d.d_samples >= sustained_slow_min_samples
+      d.d_samples >= float_of_int sustained_slow_min_samples
       && decayed_slow t d ~now >= sustained_slow_bar
 
 (* The hedge delay: how long to give the primary before the backup
@@ -136,5 +158,6 @@ let sustained_slow t ~now dst =
    that a browned-out primary forfeits quickly. The floor covers the
    cold-start world where nothing has been measured yet. *)
 let hedge_delay ?(floor = 4.0) t =
-  if t.g_samples < 8 then floor
-  else Float.max floor (t.g_ewma +. (3.0 *. t.g_dev))
+  let g = t.fleet in
+  if g.g_samples < 8.0 then floor
+  else Float.max floor (g.g_ewma +. (3.0 *. g.g_dev))

@@ -13,6 +13,8 @@ type node = {
   mutable next_watch : int;
   fifo_last : (node_id, float ref) Hashtbl.t;
       (* per-source last FIFO delivery time *)
+  link_names : (node_id, string) Hashtbl.t;
+      (* per-source delivery fiber name, "src->id", built once *)
 }
 
 (* Directed per-link fault rule. Absent entry = healthy link: the lookup
@@ -89,9 +91,9 @@ let metrics t = t.net_metrics
 let health t = t.net_health
 
 let node t id =
-  match Hashtbl.find_opt t.nodes id with
-  | Some n -> n
-  | None -> raise (Unknown_node id)
+  match Hashtbl.find t.nodes id with
+  | n -> n
+  | exception Not_found -> raise (Unknown_node id)
 
 let add_node t id =
   if Hashtbl.mem t.nodes id then
@@ -107,6 +109,7 @@ let add_node t id =
       watches = [];
       next_watch = 0;
       fifo_last = Hashtbl.create 4;
+      link_names = Hashtbl.create 4;
     }
 
 let node_ids t =
@@ -168,11 +171,13 @@ let set_partitioned t a b flag =
   let without = List.filter (fun q -> q <> p) t.partitions in
   t.partitions <- (if flag then p :: without else without)
 
-let partitioned t a b = List.mem (pair a b) t.partitions
+let partitioned t a b = t.partitions <> [] && List.mem (pair a b) t.partitions
 
 (* -- Message-level fault plane ----------------------------------------- *)
 
-let find_fault t ~src ~dst = Hashtbl.find_opt t.faults (src, dst)
+let find_fault t ~src ~dst =
+  if Hashtbl.length t.faults = 0 then None
+  else Hashtbl.find_opt t.faults (src, dst)
 
 let ensure_fault t ~src ~dst =
   match find_fault t ~src ~dst with
@@ -252,12 +257,12 @@ let clear_brownout t node =
 
 let browned_out t node = Hashtbl.mem t.brownouts node
 
-(* Sum the service-time inflation a message suffers at each browned-out
+(* Add the service-time inflation a message suffers at each browned-out
    endpoint (slow to serve inbound mail, slow to push outbound mail).
    Draws come from [fault_rng] only when a brownout is installed, so
    healthy worlds take the no-entry fast path with zero extra draws. *)
-let brownout_extra t ~src ~dst =
-  if Hashtbl.length t.brownouts = 0 then 0.0
+let add_brownout t ~src ~dst delay =
+  if Hashtbl.length t.brownouts = 0 then delay
   else
     let one node =
       match Hashtbl.find_opt t.brownouts node with
@@ -270,7 +275,7 @@ let brownout_extra t ~src ~dst =
     in
     let d = one dst in
     let s = if src = dst then 0.0 else one src in
-    d +. s
+    delay +. (d +. s)
 
 let clear_all_faults t =
   if Hashtbl.length t.faults > 0 then begin
@@ -300,8 +305,15 @@ let sample_latency t = t.latency t.net_rng
    moment. The destination may have crashed and recovered while the message
    was in flight — it is then delivered to the new incarnation, as a real
    network would. *)
+let link_name n src =
+  match Hashtbl.find n.link_names src with
+  | name -> name
+  | exception Not_found ->
+      let name = src ^ "->" ^ n.id in
+      Hashtbl.add n.link_names src name;
+      name
+
 let deliver t ~src ~dst ~delay f =
-  ignore src;
   Sim.Engine.schedule t.eng ~delay (fun () ->
       let n = node t dst in
       if n.up && not (partitioned t src dst) then
@@ -309,7 +321,7 @@ let deliver t ~src ~dst ~delay f =
           record t "fault" "cut drop %s->%s (one-way partition)" src dst;
           Sim.Metrics.incr t.net_metrics "fault.cut_dropped"
         end
-        else Sim.Engine.spawn t.eng ~group:n.grp ~name:(src ^ "->" ^ dst) f
+        else Sim.Engine.spawn t.eng ~group:n.grp ~name:(link_name n src) f
       else begin
         record t "net" "drop %s->%s (dst down or partitioned)" src dst;
         Sim.Metrics.incr t.net_metrics "net.dropped"
@@ -322,8 +334,7 @@ let deliver t ~src ~dst ~delay f =
    [fault_rng] stream. *)
 let send t ~src ~dst f =
   Sim.Metrics.incr t.net_metrics "net.msgs";
-  let delay = sample_latency t in
-  let delay = delay +. brownout_extra t ~src ~dst in
+  let delay = add_brownout t ~src ~dst (sample_latency t) in
   match find_fault t ~src ~dst with
   | None -> deliver t ~src ~dst ~delay f
   | Some fl ->
@@ -377,8 +388,7 @@ let send_fifo t ~src ~dst f =
         r
   in
   let now = Sim.Engine.now t.eng in
-  let lat = sample_latency t in
-  let lat = lat +. brownout_extra t ~src ~dst in
+  let lat = add_brownout t ~src ~dst (sample_latency t) in
   let lat =
     match find_fault t ~src ~dst with
     | Some fl when fl.f_spike_p > 0.0 && Sim.Rng.bool t.fault_rng fl.f_spike_p
@@ -404,6 +414,12 @@ let watch_crash t id f =
     Sim.Engine.schedule t.eng ~delay:t.detect_delay (fun () -> f ());
   w
 
+(* Watch ids are unique, so dropping the first match is a filter; the
+   list behind it is shared, not copied. *)
 let unwatch t id w =
   let n = node t id in
-  n.watches <- List.filter (fun (w', _) -> w' <> w) n.watches
+  let rec drop = function
+    | [] -> []
+    | ((w', _) as x) :: rest -> if w' = w then rest else x :: drop rest
+  in
+  n.watches <- drop n.watches

@@ -10,6 +10,7 @@ let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
 
 type ('req, 'resp) endpoint = {
   ep_name : string;
+  ep_op_key : string; (* "rpc.op." ^ ep_name, the per-operation counter *)
   inject_req : 'req -> Univ.t;
   project_req : Univ.t -> 'req option;
   inject_resp : 'resp -> Univ.t;
@@ -19,7 +20,14 @@ type ('req, 'resp) endpoint = {
 let endpoint name =
   let inject_req, project_req = Univ.embed () in
   let inject_resp, project_resp = Univ.embed () in
-  { ep_name = name; inject_req; project_req; inject_resp; project_resp }
+  {
+    ep_name = name;
+    ep_op_key = "rpc.op." ^ name;
+    inject_req;
+    project_req;
+    inject_resp;
+    project_resp;
+  }
 
 let endpoint_name ep = ep.ep_name
 
@@ -32,8 +40,8 @@ type t = {
   services : (Network.node_id * string, raw_handler) Hashtbl.t;
   default_timeout : float;
   mutable next_req : int;
-  seen : (string, unit) Hashtbl.t;
-  dedup_hooked : (Network.node_id, unit) Hashtbl.t;
+  seen : (Network.node_id, (int, unit) Hashtbl.t) Hashtbl.t;
+      (* per destination: ids of the requests it has run *)
   mutable shed : bool;
 }
 
@@ -43,8 +51,7 @@ let create ?(default_timeout = 60.0) net =
     services = Hashtbl.create 64;
     default_timeout;
     next_req = 0;
-    seen = Hashtbl.create 64;
-    dedup_hooked = Hashtbl.create 8;
+    seen = Hashtbl.create 8;
     shed = false;
   }
 
@@ -57,47 +64,37 @@ let shed_expired t = t.shed
    Increment in gvd.bind_batch, double-applying a merged Decrement — would
    corrupt counters. Each request carries a fresh id; the destination keeps
    a volatile seen-table (cleared when it crashes, like any in-memory dedup
-   cache) and drops replays, counted as [rpc.dup_suppressed]. Activated
-   only once a world installs message faults ([Network.faults_ever]), so
-   fault-free worlds allocate and check nothing. *)
-let dedup_key ~dst ~from rid =
-  String.concat "\x00" [ dst; from; string_of_int rid ]
-
-let hook_dedup_clear t dst =
-  if not (Hashtbl.mem t.dedup_hooked dst) then begin
-    Hashtbl.add t.dedup_hooked dst ();
-    Network.on_crash t.net dst (fun () ->
-        let prefix = dst ^ "\x00" in
-        let plen = String.length prefix in
-        let doomed =
-          Hashtbl.fold
-            (fun k () acc ->
-              if String.length k >= plen && String.sub k 0 plen = prefix then
-                k :: acc
-              else acc)
-            t.seen []
-        in
-        List.iter (Hashtbl.remove t.seen) doomed)
-  end
+   cache) and drops replays, counted as [rpc.dup_suppressed]. Request ids
+   are unique per runtime, so each destination's table is keyed by id
+   alone, and a crash clears that one table. Activated only once a world
+   installs message faults ([Network.faults_ever]), so fault-free worlds
+   allocate and check nothing. *)
+let seen_table t dst =
+  match Hashtbl.find t.seen dst with
+  | tbl -> tbl
+  | exception Not_found ->
+      let tbl = Hashtbl.create 16 in
+      Hashtbl.add t.seen dst tbl;
+      Network.on_crash t.net dst (fun () -> Hashtbl.reset tbl);
+      tbl
 
 (* Wrap a request-delivery thunk with the duplicate guard. Returns the
    thunk unchanged in fault-free worlds. *)
 let guard_duplicate t ~from ~dst thunk =
   if not (Network.faults_ever t.net) then thunk
   else begin
-    hook_dedup_clear t dst;
+    let seen = seen_table t dst in
     let rid = t.next_req in
     t.next_req <- rid + 1;
-    let key = dedup_key ~dst ~from rid in
     fun () ->
-      if Hashtbl.mem t.seen key then begin
+      if Hashtbl.mem seen rid then begin
         Sim.Metrics.incr (Network.metrics t.net) "rpc.dup_suppressed";
         Sim.Trace.recordf (Network.trace t.net)
           ~now:(Sim.Engine.now (Network.engine t.net))
           ~tag:"rpc" "dup suppressed %s->%s" from dst
       end
       else begin
-        Hashtbl.add t.seen key ();
+        Hashtbl.add seen rid ();
         thunk ()
       end
   end
@@ -129,7 +126,7 @@ let call_gen t ~from ~dst ?cancelled ?timeout ?deadline_at ep req =
   (* Per-operation round counter: lets tests and experiments assert how
      many network rounds a protocol step costs (e.g. a batched bind is
      exactly one "rpc.op.gvd.bind_batch" tick). *)
-  Sim.Metrics.incr (Network.metrics t.net) ("rpc.op." ^ ep.ep_name);
+  Sim.Metrics.incr (Network.metrics t.net) ep.ep_op_key;
   if not (Network.reachable t.net from dst) then begin
     (* The callee is already known-dead (or unreachable): the failure
        detector answers after one detection latency. *)

@@ -248,7 +248,7 @@ let touch_guard t node uid action =
       Action.Orphan_guard.touch g ~scope:(Store.Uid.to_string uid) ~action
   | None -> ()
 
-let applied_key action serial = Printf.sprintf "%s#%d" action serial
+let applied_key action serial = action ^ "#" ^ string_of_int serial
 
 (* Tombstone a finished action on the instance (bounded, newest first).
    The bound only forgets ancient history: a straggler invocation arrives

@@ -8,6 +8,24 @@
     the discrete-event model: determinism comes from the strictly ordered
     event queue (time, then insertion sequence).
 
+    {2 Ordering contract}
+
+    - Every event is due at a virtual time and carries an insertion
+      sequence number; the queue runs events in (time, sequence) order, so
+      events due at the same instant run in the order they were queued.
+    - A resumption is a new event: resuming a suspended fiber (a [resume]
+      call, a wakeup from [sleep], a timeout) queues the fiber's
+      continuation at zero delay behind everything already due now. It
+      never runs the fiber inline, inside the code that resumed it.
+    - Running a resumed fiber inline would be cheaper, but it would
+      reorder same-instant events: the woken fiber would overtake events
+      queued before the wakeup, so every seeded schedule, and every table
+      derived from one, would change. A fiber's start is likewise an event
+      queued by [spawn].
+    - One effect handler serves all fibers of an engine; the running
+      fiber's group and name are engine state, set whenever a fiber starts
+      or resumes.
+
     Fibers belong to {e groups}. Killing a group (used to model a node
     crash) prevents every fiber of the group from ever being resumed; the
     fiber simply vanishes at its current suspension point, mirroring a

@@ -9,6 +9,16 @@
 
 type 'a task = unit -> 'a
 
+(* Fiber names by task index, built once at start-up so a scatter
+   allocates none; a run's allocation then does not depend on what ran
+   before it in the same process. *)
+let name_table prefix =
+  let names = Array.init 64 (fun i -> prefix ^ string_of_int i) in
+  fun i -> if i < 64 then names.(i) else prefix ^ string_of_int i
+
+let worker_name = name_table "join.worker."
+let hedged_name = name_table "join.hedged."
+
 (* Spawn one fiber per task; [on_done i r] runs in the worker fiber as soon
    as task [i] finishes. Tasks are spawned in list order, and the engine's
    (time, seq) queue makes every interleaving deterministic. [base] offsets
@@ -20,7 +30,7 @@ let scatter ?(base = 0) eng tasks ~on_done =
     (fun i f ->
       let i = i + base in
       Engine.spawn eng ~group
-        ~name:(Printf.sprintf "join.worker.%d" i)
+        ~name:(worker_name i)
         (fun () -> on_done i (f ())))
     tasks
 
@@ -86,7 +96,7 @@ let hedged eng ~delay tasks =
               if not (Ivar.is_filled iv) then begin
                 incr outstanding;
                 Engine.spawn eng ~group
-                  ~name:(Printf.sprintf "join.hedged.%d" i)
+                  ~name:(hedged_name i)
                   (fun () -> settle (f ()))
               end))
         tasks;

@@ -5,17 +5,12 @@ type t = {
 
 let create () = { counters_tbl = Hashtbl.create 32; samples_tbl = Hashtbl.create 32 }
 
-let find_counter t name =
-  match Hashtbl.find_opt t.counters_tbl name with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add t.counters_tbl name r;
-      r
-
+(* [Hashtbl.find] rather than [find_opt]: a hit, the common case,
+   allocates nothing. *)
 let incr t ?(by = 1) name =
-  let r = find_counter t name in
-  r := !r + by
+  match Hashtbl.find t.counters_tbl name with
+  | r -> r := !r + by
+  | exception Not_found -> Hashtbl.add t.counters_tbl name (ref by)
 
 let counter t name =
   match Hashtbl.find_opt t.counters_tbl name with Some r -> !r | None -> 0

@@ -1,4 +1,8 @@
-type t = { serial : int; lbl : string }
+(* [str] is the canonical rendering, built once at allocation: it keys
+   lock owners, server instances and shard hashing on every call. It is
+   the last field, and a function of the others, so polymorphic equality
+   and ordering on [t] are unchanged by it. *)
+type t = { serial : int; lbl : string; str : string }
 
 type supply = { mutable next : int }
 
@@ -7,12 +11,12 @@ let supply () = { next = 0 }
 let fresh s ~label =
   let serial = s.next in
   s.next <- serial + 1;
-  { serial; lbl = label }
+  { serial; lbl = label; str = label ^ "#" ^ string_of_int serial }
 
 let label t = t.lbl
 let serial t = t.serial
 let equal a b = a.serial = b.serial
 let compare a b = Int.compare a.serial b.serial
 let hash t = Hashtbl.hash t.serial
-let to_string t = Printf.sprintf "%s#%d" t.lbl t.serial
-let pp ppf t = Format.pp_print_string ppf (to_string t)
+let to_string t = t.str
+let pp ppf t = Format.pp_print_string ppf t.str

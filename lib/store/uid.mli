@@ -30,6 +30,7 @@ val compare : t -> t -> int
 val hash : t -> int
 
 val to_string : t -> string
-(** ["label#serial"], e.g. ["account#3"]. *)
+(** ["label#serial"], e.g. ["account#3"]. The string is built once, when
+    the UID is allocated, so [to_string] does not allocate. *)
 
 val pp : Format.formatter -> t -> unit

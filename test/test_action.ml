@@ -51,7 +51,9 @@ let test_action_id_structure () =
   check_int "depth" 3 (Action_id.depth grandkid);
   check_bool "not top" false (Action_id.is_top kid);
   (match Action_id.parent grandkid with
-  | Some p -> check_bool "parent" true (Action_id.equal p kid)
+  | Some p ->
+      check_bool "parent" true (Action_id.equal p kid);
+      check_string "parent string" "c1:3.1" (Action_id.to_string p)
   | None -> Alcotest.fail "no parent");
   check_bool "top has no parent" true (Action_id.parent top = None)
 

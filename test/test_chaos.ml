@@ -176,6 +176,35 @@ let test_fault_dup_suppressed () =
   check_bool "and suppressed by the rpc dedup" true
     (Sim.Metrics.counter m "rpc.dup_suppressed" > 0)
 
+(* A node's crash clears its own dedup table and no other: a duplicate
+   still in flight to a live node must stay suppressed. Latency is fixed
+   at 1.0, so the request reaches dst at +1.0 and its copy 0.1–1.0 later;
+   the crash of other lands in between. *)
+let test_dup_suppressed_across_other_crash () =
+  let eng = Sim.Engine.create ~seed:3L () in
+  let net = Net.Network.create ~latency:(fun _ -> 1.0) eng in
+  List.iter (Net.Network.add_node net) [ "src"; "dst"; "other" ];
+  let rpc = Net.Rpc.create net in
+  let ping : (unit, unit) Net.Rpc.endpoint = Net.Rpc.endpoint "test.ping" in
+  let served = ref 0 in
+  List.iter
+    (fun node -> Net.Rpc.serve rpc ~node ping (fun () -> incr served))
+    [ "dst"; "other" ];
+  List.iter
+    (fun dst -> Net.Network.set_link_fault net ~dup:1.0 ~src:"src" ~dst ())
+    [ "dst"; "other" ];
+  Net.Network.spawn_on net "src" (fun () ->
+      ignore (Net.Rpc.call rpc ~from:"src" ~dst:"other" ping ());
+      Sim.Engine.schedule eng ~delay:1.05 (fun () ->
+          Net.Network.crash net "other");
+      ignore (Net.Rpc.call rpc ~from:"src" ~dst:"dst" ping ()));
+  Sim.Engine.run eng;
+  let m = Net.Network.metrics net in
+  check_int "other crashed" 1 (Sim.Metrics.counter m "net.crashes");
+  check_int "each request ran once" 2 !served;
+  check_int "both duplicates suppressed" 2
+    (Sim.Metrics.counter m "rpc.dup_suppressed")
+
 let test_fault_oneway_cut () =
   let eng = Sim.Engine.create ~seed:3L () in
   let net = Net.Network.create eng in
@@ -329,6 +358,8 @@ let suite =
       [
         tc "drop deterministic per seed" `Quick test_fault_drop_deterministic;
         tc "dup suppressed by rpc dedup" `Quick test_fault_dup_suppressed;
+        tc "dup suppressed across another node's crash" `Quick
+          test_dup_suppressed_across_other_crash;
         tc "one-way cut is asymmetric" `Quick test_fault_oneway_cut;
         tc "delay spikes" `Quick test_fault_spike_delays;
       ] );

@@ -262,6 +262,30 @@ let test_detached_waiter_spares_fresh_entry () =
   check_bool "fresh lock still excludes" false
     (Manager.try_acquire mgr ~owner:"a4" ~mode:Mode.Read "k")
 
+(* A release that lands between a waiter's timeout firing and the
+   waiter's fiber resuming grants the waiter a lock it is about to be told
+   it did not get. The timed-out acquire must give that grant back. The
+   helper fiber runs after the waiter has armed its timer, so the release
+   is queued behind the timer at the same instant, and the waiter's
+   resumption, a fresh zero-delay event, comes after both. *)
+let test_timeout_voids_late_grant () =
+  let eng = Sim.Engine.create () in
+  let mgr = Manager.create eng in
+  check_bool "w" true (Manager.try_acquire mgr ~owner:"a1" ~mode:Mode.Write "k");
+  let outcome = ref (Ok ()) in
+  Sim.Engine.spawn eng (fun () ->
+      outcome := Manager.acquire mgr ~owner:"a2" ~mode:Mode.Read ~timeout:5.0 "k");
+  Sim.Engine.spawn eng (fun () ->
+      Sim.Engine.schedule eng ~delay:5.0 (fun () ->
+          Manager.release mgr ~owner:"a1" "k"));
+  Sim.Engine.run eng;
+  check_bool "timed out" true (!outcome = Error `Timeout);
+  Alcotest.(check (list string))
+    "no holder left" [] (List.map fst (Manager.holders mgr "k"));
+  check_int "entry reclaimed" 0 (Manager.live_entries mgr);
+  check_bool "lock free" true
+    (Manager.try_acquire mgr ~owner:"a3" ~mode:Mode.Write "k")
+
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
@@ -324,6 +348,7 @@ let suite =
         tc "failed requests file nothing" `Quick test_failed_requests_file_nothing;
         tc "detached waiter spares fresh entry" `Quick
           test_detached_waiter_spares_fresh_entry;
+        tc "timeout voids late grant" `Quick test_timeout_voids_late_grant;
         Test_util.qcheck prop_holders_pairwise_compatible;
       ] );
   ]

@@ -357,6 +357,79 @@ let test_commit_cost_independent_of_world () =
        1.25x)"
       large small (large /. small)
 
+(* Allocation pins for the simulator's hot primitives. Each measures the
+   minor words of [n] repetitions after a warm-up (which files counters,
+   health records and link names), so the figure is the steady-state cost
+   of one repetition. Every simulated event, message and RPC pays these;
+   the bounds leave headroom over the measured cost, and the previous
+   implementation exceeded each of them. *)
+let words_per n f =
+  let before = Gc.minor_words () in
+  f ();
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let check_words name ~bound per =
+  if per > bound then
+    Alcotest.failf "%s: %.1f minor words per call > %.0f" name per bound
+
+let test_rpc_roundtrip_words () =
+  let eng = Sim.Engine.create () in
+  let net = Net.Network.create eng in
+  List.iter (Net.Network.add_node net) [ "client"; "server" ];
+  let rpc = Net.Rpc.create net in
+  let echo : (string, string) Net.Rpc.endpoint = Net.Rpc.endpoint "pin.echo" in
+  Net.Rpc.serve rpc ~node:"server" echo (fun s -> s);
+  let n = 200 in
+  let per = ref nan in
+  let call () = ignore (Net.Rpc.call rpc ~from:"client" ~dst:"server" echo "hi") in
+  Net.Network.spawn_on net "client" (fun () ->
+      call ();
+      per := words_per n (fun () -> for _ = 1 to n do call () done));
+  Sim.Engine.run eng;
+  check_words "Rpc.call echo round trip" ~bound:320.0 !per
+
+let test_spawn_words () =
+  let eng = Sim.Engine.create () in
+  let body () = () in
+  Sim.Engine.spawn eng body;
+  Sim.Engine.run eng;
+  let n = 1000 in
+  let per =
+    words_per n (fun () ->
+        for _ = 1 to n do
+          Sim.Engine.spawn eng body
+        done;
+        Sim.Engine.run eng)
+  in
+  check_words "Engine.spawn of a fiber that never suspends" ~bound:24.0 per
+
+let test_health_note_ok_words () =
+  let h = Net.Health.create () in
+  let n = 1000 in
+  (* Boxed ahead of time, so the loop itself allocates nothing. *)
+  let nows = List.init n (fun i -> float_of_int (i + 1)) in
+  Net.Health.note_ok h ~dst:"d" ~now:0.0 ~latency:1.0;
+  let per =
+    words_per n (fun () ->
+        List.iter (fun now -> Net.Health.note_ok h ~dst:"d" ~now ~latency:1.0) nows)
+  in
+  check_words "Health.note_ok" ~bound:8.0 per
+
+let test_metrics_incr_words () =
+  let m = Sim.Metrics.create () in
+  Sim.Metrics.incr m "pin.counter";
+  let n = 10_000 in
+  let per =
+    words_per n (fun () ->
+        for _ = 1 to n do
+          Sim.Metrics.incr m "pin.counter"
+        done)
+  in
+  (* [Gc.minor_words] boxes its own result: a few words in total, far
+     below one word per call. *)
+  check_words "Metrics.incr on an existing counter" ~bound:0.0 (Float.round per);
+  check_int "counted" (n + 1) (Sim.Metrics.counter m "pin.counter")
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -380,5 +453,9 @@ let suite =
           test_split_undo_no_resurrection;
         tc "pin: commit cost independent of world size" `Quick
           test_commit_cost_independent_of_world;
+        tc "pin: rpc round trip allocation" `Quick test_rpc_roundtrip_words;
+        tc "pin: spawn allocation" `Quick test_spawn_words;
+        tc "pin: health note_ok allocation" `Quick test_health_note_ok_words;
+        tc "pin: metrics incr allocates nothing" `Quick test_metrics_incr_words;
       ] );
   ]

@@ -10,45 +10,61 @@ let check_bool = Alcotest.(check bool)
 (* ------------------------------------------------------------------ *)
 (* Heap *)
 
+(* Keys are the values themselves, as floats. *)
+let heap_of xs =
+  let h = Heap.create () in
+  List.iter (fun x -> Heap.push h (float_of_int x) x) xs;
+  h
+
+let drain_heap h =
+  let rec go acc = if Heap.is_empty h then List.rev acc else go (Heap.pop h :: acc) in
+  go []
+
 let test_heap_order () =
-  let h = Heap.create ~compare:Int.compare in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 2 ];
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain [])
+  let h = heap_of [ 5; 1; 4; 1; 3; 9; 2 ] in
+  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain_heap h)
 
 let test_heap_empty () =
-  let h = Heap.create ~compare:Int.compare in
+  let h : int Heap.t = Heap.create () in
   check_bool "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "peek none" None (Heap.peek h);
-  Alcotest.(check (option int)) "pop none" None (Heap.pop h)
+  Alcotest.check_raises "min_key raises"
+    (Invalid_argument "Heap.min_key: empty heap") (fun () ->
+      ignore (Heap.min_key h));
+  Alcotest.check_raises "pop raises" (Invalid_argument "Heap.pop: empty heap")
+    (fun () -> ignore (Heap.pop h))
 
 let test_heap_peek_stable () =
-  let h = Heap.create ~compare:Int.compare in
-  Heap.push h 3;
-  Heap.push h 1;
-  Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
+  let h = heap_of [ 3; 1 ] in
+  check_float "min_key" 1.0 (Heap.min_key h);
   check_int "length unchanged" 2 (Heap.length h)
 
 let test_heap_clear () =
-  let h = Heap.create ~compare:Int.compare in
-  List.iter (Heap.push h) [ 1; 2; 3 ];
+  let h = heap_of [ 1; 2; 3 ] in
   Heap.clear h;
   check_bool "cleared" true (Heap.is_empty h)
 
+(* Equal keys pop in push order: the engine's (time, seq) order rests on
+   it. Interleaving two keys exercises ties on both sift paths. *)
+let test_heap_fifo_ties () =
+  let h = Heap.create () in
+  List.iteri (fun i k -> Heap.push h k i) [ 2.0; 1.0; 2.0; 1.0; 2.0; 1.0; 1.0 ];
+  Alcotest.(check (list int)) "ties in push order" [ 1; 3; 5; 6; 0; 2; 4 ]
+    (drain_heap h)
+
 let test_heap_large () =
-  let h = Heap.create ~compare:Int.compare in
+  let h = Heap.create () in
   let rng = Rng.create 42L in
   for _ = 1 to 10_000 do
-    Heap.push h (Rng.int rng 1_000_000)
+    let x = Rng.int rng 1_000_000 in
+    Heap.push h (float_of_int x) x
   done;
   let rec drain prev n =
-    match Heap.pop h with
-    | None -> n
-    | Some x ->
-        if x < prev then Alcotest.fail "heap order violated";
-        drain x (n + 1)
+    if Heap.is_empty h then n
+    else begin
+      let x = Heap.pop h in
+      if x < prev then Alcotest.fail "heap order violated";
+      drain x (n + 1)
+    end
   in
   check_int "all popped" 10_000 (drain min_int 0)
 
@@ -459,12 +475,11 @@ let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains sorted" ~count:200
     QCheck.(list int)
     (fun xs ->
-      let h = Heap.create ~compare:Int.compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare xs)
+      (* Keys are floats, so ints past 2^53 may share one; equal keys pop
+         in push order, which a stable sort on the key reproduces. *)
+      let key x = float_of_int x in
+      drain_heap (heap_of xs)
+      = List.stable_sort (fun a b -> Float.compare (key a) (key b)) xs)
 
 let prop_rng_int_in_bounds =
   QCheck.Test.make ~name:"rng int within bounds" ~count:500
@@ -493,6 +508,7 @@ let suite =
         tc "empty" `Quick test_heap_empty;
         tc "peek stable" `Quick test_heap_peek_stable;
         tc "clear" `Quick test_heap_clear;
+        tc "fifo ties" `Quick test_heap_fifo_ties;
         tc "large" `Quick test_heap_large;
         Test_util.qcheck prop_heap_sorts;
       ] );
