@@ -422,47 +422,6 @@ let bench_grouped_vs_solo () =
     (Workload.Exp_groupcommit.episode ~window:0.0 ~clients:8 ()
       : Workload.Exp_groupcommit.sample)
 
-(* The very first commit of a fresh writer, both ways, back to back:
-   after an anti-entropy floor-gossip round (the commit delta-hits off
-   the gossiped floor and ships op bytes), then without one (cold
-   acked-version vector: the commit ships the whole ~1.5 KB kvmap per
-   store). *)
-let bench_first_commit_after_activation () =
-  let open Naming in
-  let one gossip =
-    let w =
-      Service.create ~seed:5L ~delta_shipping:true
-        {
-          Service.gvd_node = "ns";
-          gvd_nodes = [];
-          server_nodes = [ "alpha" ];
-          store_nodes = [ "beta1"; "beta2" ];
-          client_nodes = [ "c1" ];
-        }
-    in
-    let uid =
-      Service.create_object w ~name:"obj" ~impl:"kvmap"
-        ~initial:delta_large_preload ~sv:[ "alpha" ]
-        ~st:[ "beta1"; "beta2" ] ()
-    in
-    Service.run ~until:1.0 w;
-    if gossip then begin
-      let gc = Replica.Server.groupcommit (Service.server_runtime w) in
-      Net.Network.spawn_on (Service.network w) "alpha" (fun () ->
-          Replica.Groupcommit.anti_entropy gc ~from:"alpha"
-            ~stores:[ "beta1"; "beta2" ]);
-      Service.run w
-    end;
-    Service.spawn_client w "c1" (fun () ->
-        ignore
-          (Service.with_bound w ~client:"c1" ~scheme:Scheme.Standard
-             ~policy:Replica.Policy.Single_copy_passive ~uid
-             (fun act group -> Service.invoke w group ~act "put hot v1")));
-    Service.run w
-  in
-  one true;
-  one false
-
 (* The same browned-out commit episode both ways, back to back: hedged
    scatters racing a health-delayed backup copy against the slow store,
    then unhedged. The spread within this subject is what hedging buys
@@ -542,8 +501,6 @@ let micro_tests =
         (Staged.stage bench_schemea_pipelined);
       Test.make ~name:"commit.grouped-vs-solo"
         (Staged.stage bench_grouped_vs_solo);
-      Test.make ~name:"commit.first-commit-delta-after-activation"
-        (Staged.stage bench_first_commit_after_activation);
       Test.make ~name:"commit.hedged-vs-unhedged-brownout"
         (Staged.stage bench_hedged_vs_unhedged_brownout);
       Test.make ~name:"commit.excluded-vs-hedged-brownout"

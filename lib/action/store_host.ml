@@ -54,7 +54,6 @@ type t = {
      run the per-action logic sub-record by sub-record. *)
   ep_prepare_batch : (prepare_req list, (string * vote) list) Net.Rpc.endpoint;
   ep_commit_batch : (string list, (Store.Uid.t * int) list) Net.Rpc.endpoint;
-  ep_floors : (unit, (Store.Uid.t * int) list) Net.Rpc.endpoint;
   ep_ping : (unit, unit) Net.Rpc.endpoint;
 }
 
@@ -72,7 +71,6 @@ let create rpc_rt =
     ep_decision = Net.Rpc.endpoint "store.decision";
     ep_prepare_batch = Net.Rpc.endpoint "store.prepare_batch";
     ep_commit_batch = Net.Rpc.endpoint "store.commit_batch";
-    ep_floors = Net.Rpc.endpoint "store.floors";
     ep_ping = Net.Rpc.endpoint "store.ping";
   }
 
@@ -293,10 +291,9 @@ let prepare_one t h node { pr_action; pr_coordinator; pr_writes } =
       end
 
 (* The committed counter of each listed object (-1 = not hosted here):
-   the acked-floor gossip payload. A batched phase-2 ack carries it for the
-   objects its sub-records wrote (post-apply); the anti-entropy round reads
-   it for every object the store holds, so coordinators can reseed the
-   shared per-(store,object) floor without ever having written here. *)
+   the acked-floor payload a batched phase-2 ack carries for the objects
+   its sub-records wrote (post-apply), so coordinators can seed the shared
+   per-(store,object) floor without ever having written here. *)
 let floors_of h uids =
   List.map
     (fun uid ->
@@ -333,8 +330,6 @@ let add t node =
       let written = batch_writes h actions in
       List.iter (fun action -> apply_commit h action) actions;
       floors_of h written);
-  Net.Rpc.serve t.rpc_rt ~node t.ep_floors (fun () ->
-      floors_of h (Store.Object_store.uids h.h_objects));
   Net.Rpc.serve t.rpc_rt ~node t.ep_ping (fun () -> ());
   Net.Rpc.serve t.rpc_rt ~node t.ep_abort (fun action ->
       Store.Intent_log.resolve h.h_log ~action);
@@ -452,10 +447,6 @@ let prepare_batch t ~from ?hedge ?deadline_at per_store =
 let commit_batch t ~from ?hedge ?deadline_at ?alt_of per_store =
   scatter_alt t ~from ?hedge ?deadline_at ?alt_of ~keep_primary:true
     t.ep_commit_batch per_store
-
-let floors_all t ~from ~stores =
-  Net.Rpc.call_all t.rpc_rt ~from t.ep_floors
-    (List.map (fun store -> (store, ())) stores)
 
 let ping t ~from ~store = Net.Rpc.call t.rpc_rt ~from ~dst:store t.ep_ping ()
 

@@ -227,10 +227,10 @@ val commit_batch :
 (** Scatter one batched phase-2 commit per store: the store applies each
     listed action's intentions ({e idempotent, per action}) and its ack
     carries the post-apply committed counter of each object those
-    intentions wrote — the acked-version floor gossip the coordinator
+    intentions wrote — the acked-version floor the coordinator
     folds into {!Replica.Oplog.note_store}. The ack is sized by the batch,
-    never by the store: objects the batch did not write are left to the
-    anti-entropy round ({!floors_all}). A duplicate delivery, whose
+    never by the store: objects the batch did not write get no floor
+    from it. A duplicate delivery, whose
     intentions already resolved, acks an empty list. [alt_of]
     sibling-routes as in {!commit_all} (a sibling win is the leg's
     error, so a sibling's floors are never mistaken for the primary's);
@@ -238,15 +238,6 @@ val commit_batch :
     store's batch can carry sub-records of actions whose [St] does not
     include the sibling, and a staged intent there would dangle
     forever. *)
-
-val floors_all :
-  t ->
-  from:Net.Network.node_id ->
-  stores:Net.Network.node_id list ->
-  (Net.Network.node_id * ((Store.Uid.t * int) list, Net.Rpc.error) result) list
-(** One anti-entropy round: read each store's committed counters without
-    committing anything (quiet-store floor gossip). Each answer lists
-    every object the store holds. *)
 
 val ping :
   t ->

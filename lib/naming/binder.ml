@@ -3,7 +3,6 @@ type t = {
   b_grt : Replica.Group.runtime;
   b_cache : Bind_cache.t option;
   b_deltas : Use_delta.t;
-  b_flush_delay : float;
   b_optimistic : bool;
       (* commit-time GetView via lock-free snapshot + prepare-round
          validation instead of the locked re-read (default on since the
@@ -14,14 +13,18 @@ type t = {
   b_crash_hooked : (Net.Network.node_id, unit) Hashtbl.t;
 }
 
-let create ?cache ?(flush_delay = 5.0) ?(optimistic_commit = true)
-    ?(pipelined_binds = true) b_router b_grt =
+(* The use-list decrement coalescing window: how long credited
+   [Decrement]s wait for a cancelling rebind before the flush fiber sends
+   them (a blocked [Insert] pulls them early, see [pull_credits]). *)
+let flush_delay = 5.0
+
+let create ?cache ?(optimistic_commit = true) ?(pipelined_binds = true)
+    b_router b_grt =
   {
     b_router;
     b_grt;
     b_cache = cache;
     b_deltas = Use_delta.create ();
-    b_flush_delay = flush_delay;
     b_optimistic = optimistic_commit;
     b_pipelined = pipelined_binds;
     b_crash_hooked = Hashtbl.create 8;
@@ -282,11 +285,10 @@ let bind_standard t ~act ~uid ~policy =
       (* Static Sv: pick the first k entries, dead or not ("the hard
          way", §4.1.2). Under hedged RPC the candidate order is
          health-ranked first, steering the static pick away from
-         browned-out servers (ties keep Sv order; with the knob off the
-         pick is untouched). *)
+         browned-out servers (ties keep Sv order; with the gray-failure
+         profile [Off] the pick is untouched). *)
       let sv =
-        if Replica.Server.hedged_rpc (Replica.Group.server_runtime t.b_grt)
-        then
+        if Net.Network.hedging (netw t) then
           Net.Health.rank
             (Net.Network.health (netw t))
             ~now:(Sim.Engine.now (Action.Atomic.engine (art t)))
@@ -411,7 +413,7 @@ let rec schedule_flush t ~client =
     Use_delta.set_flush_scheduled t.b_deltas ~client true;
     Net.Network.spawn_on (netw t) client ~name:(client ^ ".use-flush")
       (fun () ->
-        Sim.Engine.sleep (Action.Atomic.engine (art t)) t.b_flush_delay;
+        Sim.Engine.sleep (Action.Atomic.engine (art t)) flush_delay;
         let flush_one uid =
           let credits = Use_delta.take t.b_deltas ~client ~uid in
           credits = [] || run_flush t ~client ~uid ~credits

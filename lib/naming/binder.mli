@@ -27,7 +27,8 @@
     Buffered credits leave the client in one of two coalesced forms: the
     next bind of the same (client, object) piggybacks them on its batch
     request — cancelling the increment/decrement pair within that one
-    round — or a deferred flush fiber (after [flush_delay]) sends every
+    round — or a deferred flush fiber (after a fixed 5.0 coalescing
+    window; a blocked [Insert] pulls credits early) sends every
     remaining credit for an object as one merged [Decrement] action. A
     client crash with unflushed credits leaves exactly the orphaned
     counters the cleanup protocol repairs.
@@ -49,8 +50,8 @@ type t
 (** Binder runtime. *)
 
 val create :
-  ?cache:Bind_cache.t -> ?flush_delay:float -> ?optimistic_commit:bool ->
-  ?pipelined_binds:bool -> Router.t -> Replica.Group.runtime -> t
+  ?cache:Bind_cache.t -> ?optimistic_commit:bool -> ?pipelined_binds:bool ->
+  Router.t -> Replica.Group.runtime -> t
 (** [create router grt] binds through the sharded naming tier. [cache]
     (default none) enables the lease-based client cache: a fresh entry
     lets {!bind} skip every bind-time naming RPC and activate straight
@@ -58,10 +59,6 @@ val create :
     down (futile activations, a commit-time version-conflict abort that
     invalidates the entry); it can never commit against a stale store —
     commit processing re-reads [StA] and the stores backward-validate.
-
-    [flush_delay] (default 5.0) is the coalescing window: how long
-    credited [Decrement]s wait for a cancelling rebind before the flush
-    fiber sends them.
 
     [optimistic_commit] (default true since the §13 flip) replaces the commit-time locked
     [GetView] re-read with a lock-free (St, revision) snapshot validated
@@ -129,8 +126,8 @@ val use_prebinding :
 val release_independent : t -> prebinding -> unit
 (** The trailing [Decrement] (Figure 7, last ellipse), coalesced: the
     counts are credited to the delta buffer and either cancelled by the
-    client's next bind of the same object or flushed after
-    [flush_delay]. Must run in a fiber on the binding client. Safe to
+    client's next bind of the same object or flushed after the
+    coalescing window. Must run in a fiber on the binding client. Safe to
     call once. *)
 
 val bind_nested_toplevel :

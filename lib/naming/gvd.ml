@@ -171,14 +171,8 @@ let ep_mirror : ((int * image * int) list, unit) Net.Rpc.endpoint =
 type t = {
   art : Action.Atomic.runtime;
   gvd_node : Net.Network.node_id;
-  lock_timeout : float;
   use_exclude_write : bool;
   durable : bool;
-  mutable g_hedged : bool;
-      (* hedge the plain idempotent reads (lookup, entry_info, snapshot
-         reads) with a health-delayed backup; default off. Enlisted
-         operations are NEVER hedged: they stage locks and counter
-         updates, and a duplicate delivery rides below the dedup guard. *)
   service_time : float;
       (* modeled CPU cost per database operation; 0.0 = infinitely fast
          service node (the seed behaviour). Charged on a capacity-1
@@ -395,10 +389,12 @@ let break_stale_lock_holders t key =
     (Lockmgr.Manager.holders t.locks key)
 
 (* Lock acquisition helpers: block up to the timeout, refuse after. *)
+let lock_timeout = 30.0
+
 let with_lock t ~action ~mode key (f : unit -> 'a reply) : 'a reply =
   touch_guard t action;
   match
-    Lockmgr.Manager.acquire t.locks ~owner:action ~mode ~timeout:t.lock_timeout key
+    Lockmgr.Manager.acquire t.locks ~owner:action ~mode ~timeout:lock_timeout key
   with
   | Ok () -> f ()
   | Error `Timeout ->
@@ -1278,16 +1274,14 @@ let manager t =
         transfer_guard t action parent);
   }
 
-let install ?(lock_timeout = 30.0) ?(use_exclude_write = true)
-    ?(durable = false) ?(service_time = 0.0) art ~node =
+let install ?(use_exclude_write = true) ?(durable = false)
+    ?(service_time = 0.0) art ~node =
   let t =
     {
       art;
       gvd_node = node;
-      lock_timeout;
       use_exclude_write;
       durable;
-      g_hedged = false;
       service_time;
       service = Sim.Semaphore.create 1;
       moved_out = Hashtbl.create 16;
@@ -1435,17 +1429,17 @@ let install ?(lock_timeout = 30.0) ?(use_exclude_write = true)
 
 (* -- client stubs: call, then enlist the action with the database -- *)
 
-let hedged t = t.g_hedged
-let set_hedged t flag = t.g_hedged <- flag
-
-(* Plain idempotent reads may race a backup copy against a browned-out
-   shard (same destination — under per-message brownout inflation a
-   re-send is a fresh draw). Everything that enlists stays un-hedged. *)
+(* Under the gray-failure profile, plain idempotent reads race a backup
+   copy against a browned-out shard (same destination — under per-message
+   brownout inflation a re-send is a fresh draw). Everything that enlists
+   stays un-hedged: it stages locks and counter updates, and a duplicate
+   delivery would ride below the dedup guard. *)
 let plain_call t ~from ep req =
-  if t.g_hedged then
-    Net.Rpc.call_hedged (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node
-      ~hedge:(Net.Rpc.hedge ()) ep req
-  else Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node ep req
+  let rpc = Action.Atomic.rpc t.art in
+  if Net.Network.hedging (Net.Rpc.network rpc) then
+    Net.Rpc.call_hedged rpc ~from ~dst:t.gvd_node ~hedge:(Net.Rpc.hedge ()) ep
+      req
+  else Net.Rpc.call rpc ~from ~dst:t.gvd_node ep req
 
 let call_enlisted t ~act ep req =
   let from = Action.Atomic.node act in

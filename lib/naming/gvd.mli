@@ -32,7 +32,6 @@ type t
 (** The database runtime (client handle and server state). *)
 
 val install :
-  ?lock_timeout:float ->
   ?use_exclude_write:bool ->
   ?durable:bool ->
   ?service_time:float ->
@@ -40,8 +39,8 @@ val install :
   node:Net.Network.node_id ->
   t
 (** [install art ~node] hosts the database on [node] and registers its
-    endpoints and resource manager. [lock_timeout] (default 30.0) bounds
-    lock waits inside handlers; a timed-out wait refuses the operation.
+    endpoints and resource manager. Lock waits inside handlers are
+    bounded at 30.0; a timed-out wait refuses the operation.
     [use_exclude_write] (default true) selects the §4.2.1 lock type for
     [Exclude].
 
@@ -62,16 +61,13 @@ val install :
 val node : t -> Net.Network.node_id
 (** The service node. *)
 
-val hedged : t -> bool
-
-val set_hedged : t -> bool -> unit
-(** Hedge the plain idempotent reads — {!lookup}, {!entry_info},
-    {!get_view_snapshot}, {!get_server_snapshot} — with a health-delayed
-    backup copy ({!Net.Rpc.call_hedged}); default off, off is
-    byte-identical. The enlisted operations are {e never} hedged: they
-    take locks and stage counter updates, and a hedged duplicate would
-    ride below the RPC duplicate guard (e.g. a double-staged Increment in
-    [bind_batch]). *)
+(** {!lookup}, {!entry_info}, {!get_view_snapshot} and
+    {!get_server_snapshot} are plain idempotent reads: under any
+    gray-failure profile but {!Net.Network.Off} they race a
+    health-delayed backup copy ({!Net.Rpc.call_hedged}). The enlisted
+    operations are {e never} hedged: they take locks and stage counter
+    updates, and a hedged duplicate would ride below the RPC duplicate
+    guard (e.g. a double-staged Increment in [bind_batch]). *)
 
 val resource : string
 (** The {!Action.Resource_host} resource name, ["gvd"]. *)

@@ -23,13 +23,12 @@ type t = {
 let bounce_tries = 8
 let migration_pause = 0.5
 
-let create ?lock_timeout ?use_exclude_write ?durable ?service_time art ~nodes =
+let create ?use_exclude_write ?durable ?service_time art ~nodes =
   if nodes = [] then invalid_arg "Router.create: no naming nodes";
   let gvds =
     List.map
       (fun node ->
-        (node, Gvd.install ?lock_timeout ?use_exclude_write ?durable
-           ?service_time art ~node))
+        (node, Gvd.install ?use_exclude_write ?durable ?service_time art ~node))
       nodes
   in
   {

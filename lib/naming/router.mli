@@ -13,7 +13,6 @@
 type t
 
 val create :
-  ?lock_timeout:float ->
   ?use_exclude_write:bool ->
   ?durable:bool ->
   ?service_time:float ->

@@ -37,35 +37,24 @@ let uid_supply t = t.w_sup
 let topology t = t.w_topology
 let autonomic t = t.w_autonomic
 
-let create ?seed ?latency ?(lock_timeout = 30.0) ?(use_exclude_write = true)
-    ?(durable_naming = false) ?(cleanup_period = 0.0) ?(extra_impls = [])
-    ?bind_cache_lease ?(naming_service_time = 0.0) ?(use_flush_delay = 5.0)
+let create ?seed ?latency ?(use_exclude_write = true) ?(durable_naming = false)
+    ?(cleanup_period = 0.0) ?bind_cache_lease ?(naming_service_time = 0.0)
     ?(delta_shipping = false) ?(force_delta = false)
     ?(optimistic_commit = true) ?(pipelined_binds = true)
-    ?(commit_batch_window = 2.0) ?(floor_gossip_period = 0.0)
-    ?(hedged_rpc = false) ?(deadline_shedding = false)
-    ?(degraded_trips = false) ?(hedge_to_sibling = false)
-    ?(autonomic_membership = false) ?autonomic_config topology =
+    ?(commit_batch_window = 2.0) ?(gray_failure = Net.Network.Off) topology =
   let eng = Sim.Engine.create ?seed () in
   let net = Net.Network.create ?latency eng in
+  Net.Network.set_gray_failure net gray_failure;
   let rpc = Net.Rpc.create net in
   let sh = Action.Store_host.create rpc in
   let rh = Action.Resource_host.create rpc in
   let art = Action.Atomic.make_runtime sh rh in
   let impls = Replica.Object_impl.registry () in
-  List.iter (Replica.Object_impl.register impls)
-    (Replica.Object_impl.stock_all @ extra_impls);
+  List.iter (Replica.Object_impl.register impls) Replica.Object_impl.stock_all;
   let srv = Replica.Server.create art impls in
   Replica.Server.set_delta_shipping srv delta_shipping;
   Replica.Server.set_force_delta srv force_delta;
   Replica.Server.set_commit_batch_window srv commit_batch_window;
-  (* Gray-failure resilience plane (§15), all off by default with the off
-     path byte-identical: hedged scatter-gathers, server-side shedding of
-     deadline-expired calls, and breaker trips on sustained slowness. *)
-  Replica.Server.set_hedged_rpc srv hedged_rpc;
-  Replica.Server.set_sibling_hedge srv hedge_to_sibling;
-  Net.Rpc.set_shed_expired rpc deadline_shedding;
-  Net.Retry.set_degraded_trips (Action.Atomic.retry art) degraded_trips;
   (* Stores sit below the implementation registry, so the op folder delta
      prepares resolve with is injected here. Installed regardless of the
      flag: it only ever runs for delta prepares, which only a
@@ -117,20 +106,17 @@ let create ?seed ?latency ?(lock_timeout = 30.0) ?(use_exclude_write = true)
     topology.store_nodes;
   let grt = Replica.Group.create srv ~sequencer:topology.gvd_node in
   let router =
-    Router.create ~lock_timeout ~use_exclude_write ~durable:durable_naming
+    Router.create ~use_exclude_write ~durable:durable_naming
       ~service_time:naming_service_time art ~nodes:naming_nodes
   in
   let gvd = Router.primary router in
-  if hedged_rpc then
-    List.iter (fun g -> Gvd.set_hedged g true) (Router.gvds router);
   let cache =
     Option.map
       (fun lease -> Bind_cache.create ~lease (Net.Network.metrics net))
       bind_cache_lease
   in
   let bdr =
-    Binder.create ?cache ~flush_delay:use_flush_delay ~optimistic_commit
-      ~pipelined_binds router grt
+    Binder.create ?cache ~optimistic_commit ~pipelined_binds router grt
   in
   List.iter
     (fun n -> Reintegration.attach_store_node bdr ~node:n ())
@@ -141,32 +127,6 @@ let create ?seed ?latency ?(lock_timeout = 30.0) ?(use_exclude_write = true)
   if cleanup_period > 0.0 then
     List.iter (fun g -> Cleanup.start g ~period:cleanup_period art)
       (Router.gvds router);
-  (* Low-rate acked-floor anti-entropy for quiet stores: one server-side
-     daemon polls every store's committed counters into the shared floor
-     ({!Replica.Groupcommit.anti_entropy}). The idle wait is a
-     {!Sim.Engine.daemon_sleep}, so drain-mode [run] (and the chaos
-     harness's quiescence check) ignores the parked daemon instead of
-     spinning on it forever; the anti-entropy rounds themselves still run
-     as ordinary foreground work. A crash of the gossiper node kills the
-     fiber with its group, so recovery re-arms it for the new
-     incarnation. *)
-  if floor_gossip_period > 0.0 then (
-    match topology.server_nodes with
-    | [] -> ()
-    | gossiper :: _ ->
-        let spawn_gossip () =
-          Net.Network.spawn_on net gossiper ~name:"floor-gossip" (fun () ->
-              let gcp = Replica.Server.groupcommit srv in
-              let rec loop () =
-                Sim.Engine.daemon_sleep eng floor_gossip_period;
-                Replica.Groupcommit.anti_entropy gcp ~from:gossiper
-                  ~stores:topology.store_nodes;
-                loop ()
-              in
-              loop ())
-        in
-        spawn_gossip ();
-        Net.Network.on_recover net gossiper spawn_gossip);
   (* The autonomic membership plane (§16): one controller daemon per
      server node, probing the stores' latency health and driving the
      §4.2 Exclude/Include protocols for gray failures. The plane lives
@@ -177,7 +137,7 @@ let create ?seed ?latency ?(lock_timeout = 30.0) ?(use_exclude_write = true)
      (it must run there — the include fence and state seed are the
      store's own atomic action). *)
   let autonomic =
-    if not autonomic_membership then None
+    if gray_failure <> Net.Network.Autonomic then None
     else begin
       let deps =
         {
@@ -198,7 +158,7 @@ let create ?seed ?latency ?(lock_timeout = 30.0) ?(use_exclude_write = true)
                     ~node:store ()));
         }
       in
-      let plane = Replica.Autonomic.create ?config:autonomic_config deps in
+      let plane = Replica.Autonomic.create deps in
       List.iter (fun n -> Replica.Autonomic.start plane n) topology.server_nodes;
       Some plane
     end
@@ -224,8 +184,8 @@ let create_object t ~name ~impl ?initial ~sv ~st () =
     match initial with
     | Some p -> p
     | None -> (
-        (* Resolve through the stock + extra registry held by the server
-           runtime: activation would do the same. *)
+        (* Resolve through the stock registry held by the server runtime:
+           activation would do the same. *)
         match
           List.find_opt
             (fun i -> String.equal i.Replica.Object_impl.impl_name impl)

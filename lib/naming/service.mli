@@ -27,30 +27,21 @@ type t
 val create :
   ?seed:int64 ->
   ?latency:(Sim.Rng.t -> float) ->
-  ?lock_timeout:float ->
   ?use_exclude_write:bool ->
   ?durable_naming:bool ->
   ?cleanup_period:float ->
-  ?extra_impls:Replica.Object_impl.t list ->
   ?bind_cache_lease:float ->
   ?naming_service_time:float ->
-  ?use_flush_delay:float ->
   ?delta_shipping:bool ->
   ?force_delta:bool ->
   ?optimistic_commit:bool ->
   ?pipelined_binds:bool ->
   ?commit_batch_window:float ->
-  ?floor_gossip_period:float ->
-  ?hedged_rpc:bool ->
-  ?deadline_shedding:bool ->
-  ?degraded_trips:bool ->
-  ?hedge_to_sibling:bool ->
-  ?autonomic_membership:bool ->
-  ?autonomic_config:Replica.Autonomic.config ->
+  ?gray_failure:Net.Network.gray_failure ->
   topology ->
   t
-(** Build a world. Stock object implementations (counter, account,
-    register) are always available; [extra_impls] adds more.
+(** Build a world. The stock object implementations (counter, account,
+    register, ...) are always available.
     [cleanup_period] enables the use-list cleanup daemon with that sweep
     period; the default (0.0) leaves it off — the daemon is an infinite
     fiber, so worlds running it must drive the engine with [run ~until]. [use_exclude_write] selects
@@ -90,52 +81,31 @@ val create :
     acked-version floors of the objects its batch wrote on that store —
     sized by the batch, not by the store, so a commit costs the same in
     a world of any size. At 0.0 the plane is off and byte-identical to
-    the unbatched tree. [floor_gossip_period] (default 0.0 = off)
-    additionally runs a low-rate anti-entropy daemon that folds every
-    store's committed counters into the shared floor, covering the
-    objects no batch has written. Its idle waits are
-    daemon sleeps ({!Sim.Engine.daemon_sleep}), so drain-mode [run]
-    still terminates with the daemon parked — gossip-enabled worlds work
-    under both [run ~until] and the chaos harness's quiescence drain —
-    and a crash of the gossiping server re-arms the daemon on recovery.
+    the unbatched tree.
 
-    The gray-failure resilience knobs (docs/PROTOCOLS.md §15, all default
-    false with the off paths byte-identical): [hedged_rpc] turns on
-    hedged scatter-gathers for idempotent fan-outs (2PC prepares and
-    phase-2 deliveries, activation probes, group role probes, plain
-    naming reads) plus latency-ranked replica preference, [deadline_shedding]
-    makes servers refuse calls whose initiator's deadline has already
-    passed (metric [retry.shed_expired]; only abortable phase-1 work
-    carries deadlines — phase-2 of a decided outcome is never shed), and
-    [degraded_trips] lets the retry breaker trip on sustained slowness
-    as reported by {!Net.Health}, with latency-checked half-open
-    recovery.
-
-    The autonomic membership knobs (docs/PROTOCOLS.md §16, both default
-    false with the off paths byte-identical): [hedge_to_sibling]
-    (effective only with [hedged_rpc]) routes a hedged commit-path leg's
-    backup copy to a healthy {e sibling} [St] member when the primary is
-    sustainedly slow — a sibling win counts as the leg's failure, never
-    as the primary's answer ({!Replica.Server.set_sibling_hedge}) — and
-    walks activation store reads healthiest-first.
-    [autonomic_membership] starts one {!Replica.Autonomic} controller
-    daemon per server node: stores that stay sustainedly slow past the
-    hysteresis window, as seen by a quorum of controllers, are Excluded
-    from their [St] sets through the optimistic validated round, and
-    re-Included (with catch-up through the reintegration fence) once
-    they heal, with a cooldown damping membership flaps. Each probe is a
-    payload-free {!Action.Store_host.ping}, so probing costs the same
-    however many objects a store holds. [autonomic_config] overrides
-    {!Replica.Autonomic.default_config}.
+    [gray_failure] (default [Off], byte-identical to a world without the
+    plane) is the gray-failure profile ({!Net.Network.gray_failure},
+    docs/PROTOCOLS.md §15–§16), set on the world's network, where every
+    layer that reacts to slow-but-alive nodes reads it. [Hedged] hedges
+    the idempotent scatter-gathers (2PC prepares and phase-2 deliveries,
+    activation and role probes, plain naming reads) and ranks replicas
+    by latency health, makes servers shed phase-1 calls whose
+    initiator's deadline already passed ([retry.shed_expired]), and lets
+    the retry breaker trip on sustained slowness. [Autonomic] adds
+    sibling routing of commit-path backup copies, healthiest-first
+    activation reads, and one {!Replica.Autonomic} controller daemon per
+    server node (default config): stores that stay sustainedly slow past
+    the hysteresis window, as seen by a quorum of controllers, are
+    Excluded from their [St] sets through the optimistic validated round
+    and re-Included through the catch-up fence once they heal. Each
+    probe is a payload-free {!Action.Store_host.ping}, so probing costs
+    the same however many objects a store holds.
 
     [bind_cache_lease] (default off) enables the client-side lease cache
     of bind results with that lease duration (see {!Bind_cache}).
     [naming_service_time] (default 0.0) models the per-operation CPU cost
     of each naming shard (see {!Gvd.install}); both defaults reproduce
-    the seed behaviour exactly. [use_flush_delay] (default 5.0) is the
-    use-list decrement coalescing window handed to {!Binder.create}; a
-    blocked [Insert] pulls pending credits early regardless (see
-    {!Binder.pull_credits}). *)
+    the seed behaviour exactly. *)
 
 (* Substrate access *)
 
@@ -159,8 +129,8 @@ val topology : t -> topology
 (** The topology the world was created from. *)
 
 val autonomic : t -> Replica.Autonomic.t option
-(** The autonomic membership plane, when [autonomic_membership] was
-    set. *)
+(** The autonomic membership plane, when the world was created with
+    [~gray_failure:Autonomic]. *)
 
 val create_object :
   t ->
@@ -192,9 +162,9 @@ val with_bound :
     [scheme], executes [body act group], and commits (with the paper's
     commit-time state copy-back and exclusion attached). Returns the
     body's value or the abort reason. [deadline] is the relative time
-    budget handed to {!Action.Atomic.atomically}; with the world's
-    [deadline_shedding] knob on it also propagates to servers, which
-    refuse expired phase-1 work on its behalf. *)
+    budget handed to {!Action.Atomic.atomically}; under a gray-failure
+    profile other than [Off] it also propagates to servers, which refuse
+    expired phase-1 work on its behalf. *)
 
 val invoke :
   t ->

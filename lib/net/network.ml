@@ -39,6 +39,8 @@ type brownout = {
   bo_hi : float; (* inflation magnitude, uniform in [lo, hi] *)
 }
 
+type gray_failure = Off | Hedged | Autonomic
+
 type t = {
   eng : Sim.Engine.t;
   nodes : (node_id, node) Hashtbl.t;
@@ -53,6 +55,7 @@ type t = {
   brownouts : (node_id, brownout) Hashtbl.t;
   mutable faults_ever : bool;
   net_health : Health.t;
+  mutable gray : gray_failure;
 }
 
 let default_latency rng = Sim.Rng.uniform rng 0.5 1.5
@@ -81,6 +84,7 @@ let create ?(latency = default_latency) ?(detect_delay = 1.0) eng =
     brownouts = Hashtbl.create 4;
     faults_ever = false;
     net_health = Health.create ();
+    gray = Off;
   }
 
 let derive_rng t label = derive_stream t.net_rng label
@@ -89,6 +93,9 @@ let engine t = t.eng
 let trace t = t.net_trace
 let metrics t = t.net_metrics
 let health t = t.net_health
+let gray_failure t = t.gray
+let set_gray_failure t g = t.gray <- g
+let hedging t = t.gray <> Off
 
 let node t id =
   match Hashtbl.find t.nodes id with

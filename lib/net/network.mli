@@ -53,6 +53,30 @@ val health : t -> Health.t
     ranking read it. Always on — its bookkeeping is pure arithmetic, so
     fault-free worlds are unperturbed. *)
 
+(** The gray-failure profile (docs/PROTOCOLS.md §15–§16): one setting,
+    read by every layer that reacts to slow-but-alive nodes.
+    - [Off] (the default): none of the gray-failure machinery runs, and
+      the off path is byte-identical to a world built without it.
+    - [Hedged]: idempotent scatter-gathers race a health-delayed backup
+      copy and rank replicas by latency health; servers refuse phase-1
+      calls whose initiator's deadline already passed
+      ([retry.shed_expired]); the retry breaker also trips on sustained
+      slowness ([retry.degraded_trips]).
+    - [Autonomic]: [Hedged], plus sibling routing — a commit-path leg
+      whose primary store is sustainedly slow sends its backup copy to
+      the healthiest other [St] member, and activation reads walk [St]
+      healthiest-first. {!Naming.Service.create} additionally starts the
+      {!Replica.Autonomic} membership controllers for this profile; the
+      network setting alone starts nothing. *)
+type gray_failure = Off | Hedged | Autonomic
+
+val gray_failure : t -> gray_failure
+
+val set_gray_failure : t -> gray_failure -> unit
+
+val hedging : t -> bool
+(** [gray_failure t <> Off]. *)
+
 val add_node : t -> node_id -> unit
 (** [add_node t id] registers a fresh, up node. Raises [Invalid_argument]
     if [id] already exists. *)

@@ -19,7 +19,15 @@
       (gray failure) rather than consecutive failures;
     - [retry.degraded_reopens] — half-open latency probe succeeded but was
       still slow, so the breaker reopened with a doubled cooldown;
-    - [retry.backoff] — distribution of backoff delays. *)
+    - [retry.backoff] — distribution of backoff delays.
+
+    Under any gray-failure profile but {!Network.Off}, a destination that
+    {!Health.sustained_slow} reports as persistently slow has its breaker
+    opened exactly as if it had failed [breaker_threshold] times. While
+    tripped this way, a half-open probe that succeeds but is {e still
+    slow} reopens the breaker with a doubled cooldown (the caller keeps
+    the result); only a fast success closes it. At [Off] no health state
+    is consulted. *)
 
 type policy = {
   attempts : int;  (** maximum attempts, including the first (>= 1) *)
@@ -59,20 +67,6 @@ val network : t -> Network.t
 val breaker_open : t -> Network.node_id -> bool
 (** Whether the destination's breaker is currently open (calls to it are
     being shed). *)
-
-val set_degraded_trips : t -> bool -> unit
-(** Enable (or disable) gray-failure breaker trips: when on, a destination
-    that {!Health.sustained_slow} reports as persistently slow has its
-    breaker opened ([retry.degraded_trips]) exactly as if it had failed
-    [breaker_threshold] times — slow enough is down for latency-sensitive
-    work. While tripped this way, a half-open probe that succeeds but is
-    {e still slow} reopens the breaker with a doubled cooldown
-    ([retry.degraded_reopens]) — the caller keeps the successful result —
-    and only a fast success closes it. Default off; when off no health
-    state is consulted and trajectories are byte-identical. *)
-
-val degraded_trips : t -> bool
-(** Whether gray-failure trips are enabled. *)
 
 val run :
   t ->

@@ -42,7 +42,6 @@ type t = {
   mutable next_req : int;
   seen : (Network.node_id, (int, unit) Hashtbl.t) Hashtbl.t;
       (* per destination: ids of the requests it has run *)
-  mutable shed : bool;
 }
 
 let create ?(default_timeout = 60.0) net =
@@ -52,12 +51,9 @@ let create ?(default_timeout = 60.0) net =
     default_timeout;
     next_req = 0;
     seen = Hashtbl.create 8;
-    shed = false;
   }
 
 let network t = t.net
-let set_shed_expired t flag = t.shed <- flag
-let shed_expired t = t.shed
 
 (* At-most-once request guard. The fault plane can deliver a request twice
    (dup injection); replaying a non-idempotent handler — staging a second
@@ -152,9 +148,9 @@ let call_gen t ~from ~dst ?cancelled ?timeout ?deadline_at ep req =
                 request metadata. If the initiator has already given up by
                 the time the request is unpacked, running the handler is
                 pure waste — a shedding server answers [Timed_out] at once
-                instead of holding locks for a doomed round. Knob-gated:
-                with [shed] off the deadline is carried but never acted
-                on, so the off path is byte-identical. *)
+                instead of holding locks for a doomed round. Gated on the
+                gray-failure profile: at [Off] the deadline is carried
+                but never acted on, so the off path is byte-identical. *)
              (* Cooperative hedge cancellation: if the race this copy
                 belongs to has already settled, the delivery is dropped
                 before the handler runs — indistinguishable from a lost
@@ -168,7 +164,7 @@ let call_gen t ~from ~dst ?cancelled ?timeout ?deadline_at ep req =
              in
              let expired =
                match deadline_at with
-               | Some d -> t.shed && Sim.Engine.now eng > d
+               | Some d -> Network.hedging t.net && Sim.Engine.now eng > d
                | None -> false
              in
              if dead then begin

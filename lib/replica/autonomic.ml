@@ -37,7 +37,7 @@
    the closures to unit-test the decision logic without a world.
 
    Off means off: nothing here runs unless {!attach} is called
-   ({!Naming.Service.create}'s [autonomic_membership] knob), and the
+   ({!Naming.Service.create}'s [Autonomic] gray-failure profile), and the
    plane draws no RNG, so worlds without it are byte-identical. *)
 
 type config = {
@@ -304,11 +304,11 @@ let attach t node =
   Net.Rpc.serve t.t_deps.d_rpc ~node t.t_ep_digest (fun () -> digest t c);
   c
 
-(* Spawn the controller daemon on [node], floor-gossip style: the idle
-   wait is a {!Sim.Engine.daemon_sleep} so drain-mode runs ignore the
-   parked daemon, a crash of the node kills the fiber with its group,
-   and recovery re-arms it for the new incarnation (the ctrl record —
-   the controller's stable storage — survives). *)
+(* Spawn the controller daemon on [node]: the idle wait is a
+   {!Sim.Engine.daemon_sleep} so drain-mode runs ignore the parked
+   daemon, a crash of the node kills the fiber with its group, and
+   recovery re-arms it for the new incarnation (the ctrl record — the
+   controller's stable storage — survives). *)
 let start t node =
   let c =
     match Hashtbl.find_opt t.t_ctrls node with

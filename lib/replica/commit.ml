@@ -38,7 +38,7 @@ let attach rt act group ?current_stores ?note_version ?snapshot_stores
           let target = view.Server.cv_version.Store.Version.counter in
           let delta_on = Server.delta_shipping srv in
           let olog = Server.oplog srv in
-          (* Gray-failure plane (both off by default, off = byte-identical):
+          (* Gray-failure plane (off by default, off = byte-identical):
              hedge the idempotent 2PC scatters with health-delayed backups,
              and ride the action's deadline on the phase-1 prepares so
              shedding servers can refuse votes this commit already gave up
@@ -46,8 +46,9 @@ let attach rt act group ?current_stores ?note_version ?snapshot_stores
              decided outcome must reach the stores even when the initiator
              stopped waiting — shedding it would leak reservations and
              stall the acked floor. *)
+          let net = Action.Atomic.network art in
           let hedge =
-            if Server.hedged_rpc srv then Some (Net.Rpc.hedge ()) else None
+            if Net.Network.hedging net then Some (Net.Rpc.hedge ()) else None
           in
           let deadline_at = Action.Atomic.deadline act in
           (* Sibling-hedge map for one membership [current_st]: when the
@@ -60,12 +61,12 @@ let attach rt act group ?current_stores ?note_version ?snapshot_stores
              into the ordinary §4.2 exclude / forget-ack conservatism —
              the win buys latency (the gather stops waiting on the
              browned node after one healthy round-trip), never a
-             substituted answer. Off unless both [hedged_rpc] and
-             [hedge_to_sibling] are set; off is byte-identical. *)
+             substituted answer. Only under the [Autonomic] profile;
+             everywhere else this is byte-identical. *)
           let alt_map current_st =
-            if hedge = None || not (Server.sibling_hedge srv) then None
+            if Net.Network.gray_failure net <> Net.Network.Autonomic then None
             else
-              let h = Net.Network.health (Action.Atomic.network art) in
+              let h = Net.Network.health net in
               Some
                 (fun dst ->
                   let now = Sim.Engine.now eng in

@@ -110,7 +110,7 @@ let activate rt ~client ~uid ~impl ~policy ~servers ~stores =
      replica preference that falls out — coordinator choice, single-copy
      pick, GetServer answers — leans away from browned-out nodes. *)
   let servers =
-    if Server.hedged_rpc rt.srv then
+    if Net.Network.hedging (net rt) then
       Net.Health.rank
         (Net.Network.health (net rt))
         ~now:(Sim.Engine.now (eng rt))
@@ -238,7 +238,7 @@ let find_coordinator rt g =
     | Ok _ | Error _ -> None
   in
   let probe () =
-    if Server.hedged_rpc rt.srv then hedged_first rt g.g_members ask
+    if Net.Network.hedging (net rt) then hedged_first rt g.g_members ask
     else
       Sim.Join.all (eng rt) (List.map (fun m () -> ask m) g.g_members)
       |> List.find_map Fun.id
@@ -384,7 +384,7 @@ let commit_view rt g ~act =
     | Ok None | Error _ -> None
   in
   let try_members members =
-    if Server.hedged_rpc rt.srv then hedged_first rt members ask
+    if Net.Network.hedging (net rt) then hedged_first rt members ask
     else
       Sim.Join.all (eng rt) (List.map (fun m () -> ask m) members)
       |> List.find_map Fun.id

@@ -10,7 +10,7 @@
    transport error on one store) is peeled out for an ordinary solo
    retry while its batchmates proceed untouched.
 
-   Window discipline (the [use_flush_delay] quiescence-pull pattern): an
+   Window discipline (the use-list flush quiescence-pull pattern): an
    opening batch holds its leader for at most [window] simulated time,
    and closes early the moment no commit that could still join is in
    flight. "Could still join" is tracked by an approaching counter:
@@ -28,13 +28,10 @@
    fall back to a solo prepare/commit (both idempotent at the store), so
    a chaos world cannot wedge a batchmate forever.
 
-   Piggybacked floor gossip: a batched phase-2 ack carries the store's
+   Piggybacked floors: a batched phase-2 ack carries the store's
    committed counter for every object the batch wrote there; folding
    those into {!Oplog.note_store} lets a coordinator that never wrote an
-   object base its next copy-back on a delta. {!anti_entropy} is the
-   whole-store exchange, covering quiet stores and objects no batch has
-   written, driven by an optional low-rate daemon (see
-   {!Naming.Service.create}).
+   object base its next copy-back on a delta.
 
    Off means off: with [window = 0.0] (the default) no call here is ever
    made — {!Replica.Commit.attach} guards every entry point on
@@ -88,9 +85,6 @@ type t = {
   mutable gc_expecting : int; (* sealed commits whose phase 2 is pending *)
   mutable gc_batches : batch list; (* open phase-1 batches, oldest first *)
   mutable gc_p2 : p2_batch list; (* open phase-2 batches, oldest first *)
-  mutable gc_hedged : bool;
-      (* mirror of [Server.hedged_rpc]: hedge every store scatter issued
-         from this plane (all idempotent at the store) *)
 }
 
 (* A member that died (client crash) or fell back solo must not leave its
@@ -109,15 +103,18 @@ let create ~engine ~store_host ~metrics olog =
     gc_expecting = 0;
     gc_batches = [];
     gc_p2 = [];
-    gc_hedged = false;
   }
 
 let window t = t.gc_window
 let set_window t w = t.gc_window <- w
 let enabled t = t.gc_window > 0.0
-let hedged t = t.gc_hedged
-let set_hedged t flag = t.gc_hedged <- flag
-let gc_hedge t = if t.gc_hedged then Some (Net.Rpc.hedge ()) else None
+
+(* Every store scatter issued from this plane is idempotent at the store,
+   so all of them hedge under the gray-failure profile. *)
+let gc_hedge t =
+  if Net.Network.hedging (Net.Rpc.network (Action.Store_host.rpc t.gc_sh))
+  then Some (Net.Rpc.hedge ())
+  else None
 
 (* Quiescence-pull: no in-flight commit can join any longer, so every
    open batch may close now rather than wait out its window. *)
@@ -435,25 +432,3 @@ let abort_batched t ?alt_of ~client ~stores action =
   settle_phase2 t;
   Action.Store_host.abort_all t.gc_sh ~from:client ?hedge:(gc_hedge t) ?alt_of
     ~stores action
-
-(* One anti-entropy round: read every store's committed counters and fold
-   them into the shared floor. Cheap (one scatter, no writes) and safe
-   (the floor is a monotone max; a racing commit only raises it), it
-   covers what the batch-scoped piggyback cannot: quiet stores, objects
-   no batch has written, and floors lost to {!Oplog.drop_store} when a
-   store crashed. *)
-let anti_entropy t ~from ~stores =
-  Sim.Metrics.incr t.gc_metrics "groupcommit.anti_entropy_rounds";
-  List.iter
-    (fun (store, r) ->
-      match r with
-      | Ok floors ->
-          List.iter
-            (fun (uid, c) ->
-              if c >= 0 then begin
-                Sim.Metrics.incr t.gc_metrics "groupcommit.floors_gossiped";
-                Oplog.note_store t.gc_olog ~store ~uid c
-              end)
-            floors
-      | Error _ -> ())
-    (Action.Store_host.floors_all t.gc_sh ~from ~stores)

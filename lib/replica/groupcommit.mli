@@ -10,7 +10,11 @@
     at any store is peeled out for a solo retry; its batchmates are
     unaffected. With the window at [0.0] (the default) the plane is
     {!enabled}[ = false] and {!Commit.attach} never calls in here, so the
-    off path is byte-identical to the unbatched tree. *)
+    off path is byte-identical to the unbatched tree. Every store scatter
+    the plane issues (solo and batched prepare, phase-2 commit/abort) is
+    idempotent at the store, so all of them race a health-delayed backup
+    copy whenever the network's gray-failure profile is not
+    {!Net.Network.Off}. *)
 
 type t
 
@@ -28,15 +32,6 @@ val set_window : t -> float -> unit
 (** The batch window in simulated time; [0.0] disables the plane. *)
 
 val enabled : t -> bool
-
-val hedged : t -> bool
-
-val set_hedged : t -> bool -> unit
-(** Hedge every store scatter this plane issues (solo and batched prepare,
-    phase-2 commit/abort) with a health-delayed backup copy
-    ({!Net.Rpc.call_all}'s [?hedge]) — safe because every one of them is
-    idempotent at the store. Mirrors {!Server.set_hedged_rpc}; default
-    off, and off is byte-identical. *)
 
 (** {2 Phase 1} *)
 
@@ -108,13 +103,3 @@ val abort_batched :
   (Net.Network.node_id * (unit, Net.Rpc.error) result) list
 (** Phase-2 abort: settles the {!expect_phase2} registration and issues
     the ordinary solo abort scatter (aborts are not batched). *)
-
-(** {2 Floor anti-entropy} *)
-
-val anti_entropy : t -> from:Net.Network.node_id -> stores:Net.Network.node_id list -> unit
-(** One read-only gossip round: fetch every store's committed counters
-    and fold them into the shared floor — covers quiet stores, objects
-    no batch has written, and floors lost to a store crash
-    ({!Oplog.drop_store}). Independent of the
-    batch window; {!Naming.Service.create}'s [floor_gossip_period] runs
-    this from a daemon fiber. Must run in a fiber on [from]. *)

@@ -8,24 +8,30 @@ type t = {
   metrics : Sim.Metrics.t;
   mutable max_records : int;
   mutable max_age : float;
-  (* (server node, uid serial) -> newest first. Logs are volatile with the
-     node's instances: a crash drops them (the stores' committed states,
-     not the logs, are the durable truth). *)
-  logs : (Net.Network.node_id * int, record list ref) Hashtbl.t;
-  (* (client, store, uid serial) -> last committed counter the store is
+  (* Each table is keyed first by the node whose crash forgets it, so a
+     crash hook drops one inner table instead of scanning every entry.
+
+     server node -> uid serial -> newest first. Logs are volatile with
+     the node's instances: a crash drops them (the stores' committed
+     states, not the logs, are the durable truth). *)
+  logs : (Net.Network.node_id, (int, record list ref) Hashtbl.t) Hashtbl.t;
+  (* client -> (store, uid serial) -> last committed counter the store is
      known to have applied — known because the store acknowledged the
      phase-2 commit of that version, or reported its counter in a
      delta-miss vote. Entries are hints: a stale or missing entry only
      costs a full-state fallback, never correctness. *)
-  vv : (Net.Network.node_id * Net.Network.node_id * int, int) Hashtbl.t;
-  (* (store, uid serial) -> highest committed counter ANY client has seen
+  vv :
+    ( Net.Network.node_id,
+      (Net.Network.node_id * int, int) Hashtbl.t )
+    Hashtbl.t;
+  (* store -> uid serial -> highest committed counter ANY client has seen
      the store acknowledge — seeded from the committed-version levels that
      prepare votes and delta-miss votes piggyback. A writer that has never
      committed to the store itself starts from this shared floor instead
      of shipping full state. Monotone (max-merge): versions are global per
      object, so the floor is a valid lower bound on the store's committed
      counter; a stale floor costs a delta-miss retry, never correctness. *)
-  sv : (Net.Network.node_id * int, int) Hashtbl.t;
+  sv : (Net.Network.node_id, (int, int) Hashtbl.t) Hashtbl.t;
   (* (uid serial, counter) -> (committed_by, payload): what a full-state
      install of that version would have written; the chaos audit holds
      delta-applied store states to byte equality against it. The identity
@@ -43,9 +49,9 @@ let create ?(max_records = 12) ?(max_age = 180.0) metrics =
     metrics;
     max_records;
     max_age;
-    logs = Hashtbl.create 32;
-    vv = Hashtbl.create 64;
-    sv = Hashtbl.create 64;
+    logs = Hashtbl.create 8;
+    vv = Hashtbl.create 8;
+    sv = Hashtbl.create 8;
     golden = Hashtbl.create 64;
   }
 
@@ -53,14 +59,30 @@ let set_limits t ?max_records ?max_age () =
   Option.iter (fun n -> t.max_records <- n) max_records;
   Option.iter (fun a -> t.max_age <- a) max_age
 
+(* The inner table of [node] in a node-keyed table, created on first
+   use. *)
+let inner tbl node =
+  match Hashtbl.find_opt tbl node with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.create 16 in
+      Hashtbl.add tbl node i;
+      i
+
 let log_cell t ~node ~uid =
-  let key = (node, Store.Uid.serial uid) in
-  match Hashtbl.find_opt t.logs key with
+  let logs = inner t.logs node in
+  let serial = Store.Uid.serial uid in
+  match Hashtbl.find_opt logs serial with
   | Some r -> r
   | None ->
       let r = ref [] in
-      Hashtbl.add t.logs key r;
+      Hashtbl.add logs serial r;
       r
+
+let find_log t ~node ~uid =
+  match Hashtbl.find_opt t.logs node with
+  | None -> None
+  | Some logs -> Hashtbl.find_opt logs (Store.Uid.serial uid)
 
 (* Enforce the compaction policy on one log, charging the truncation
    metrics for every record dropped. *)
@@ -90,7 +112,7 @@ let append t ~now ~node ~uid ~version ~ops =
   compact t ~now cell
 
 let records t ~node ~uid =
-  match Hashtbl.find_opt t.logs (node, Store.Uid.serial uid) with
+  match find_log t ~node ~uid with
   | None -> []
   | Some cell -> List.rev_map (fun r -> (r.r_version, r.r_ops)) !cell
 
@@ -106,7 +128,7 @@ let install t ~now ~node ~uid entries =
   compact t ~now cell
 
 let truncate_below t ~node ~uid ~counter =
-  match Hashtbl.find_opt t.logs (node, Store.Uid.serial uid) with
+  match find_log t ~node ~uid with
   | None -> ()
   | Some cell ->
       let kept, dropped =
@@ -122,17 +144,12 @@ let truncate_below t ~node ~uid ~counter =
       end
 
 let drop_node t node =
-  let doomed =
-    Hashtbl.fold
-      (fun ((n, _) as key) cell acc ->
-        if String.equal n node then (key, List.length !cell) :: acc else acc)
-      t.logs []
-  in
-  List.iter
-    (fun (key, n) ->
-      Hashtbl.remove t.logs key;
-      Sim.Metrics.incr t.metrics "oplog.resident_records" ~by:(-n))
-    doomed
+  match Hashtbl.find_opt t.logs node with
+  | None -> ()
+  | Some logs ->
+      Hashtbl.remove t.logs node;
+      let n = Hashtbl.fold (fun _ cell acc -> acc + List.length !cell) logs 0 in
+      Sim.Metrics.incr t.metrics "oplog.resident_records" ~by:(-n)
 
 (* The client-side decision rule: a chain (oldest first, as presented in a
    commit view) covers (base, upto] iff it contains a contiguous run of
@@ -164,24 +181,32 @@ let suffix_of chain ~base ~upto =
 (* --- per-store acknowledged-version vector --- *)
 
 let last_acked t ~client ~store ~uid =
-  Hashtbl.find_opt t.vv (client, store, Store.Uid.serial uid)
-
-let note_acked t ~client ~store ~uid counter =
-  if counter < 0 then Hashtbl.remove t.vv (client, store, Store.Uid.serial uid)
-  else Hashtbl.replace t.vv (client, store, Store.Uid.serial uid) counter
+  match Hashtbl.find_opt t.vv client with
+  | None -> None
+  | Some acks -> Hashtbl.find_opt acks (store, Store.Uid.serial uid)
 
 let forget_ack t ~client ~store ~uid =
-  Hashtbl.remove t.vv (client, store, Store.Uid.serial uid)
+  match Hashtbl.find_opt t.vv client with
+  | None -> ()
+  | Some acks -> Hashtbl.remove acks (store, Store.Uid.serial uid)
+
+let note_acked t ~client ~store ~uid counter =
+  if counter < 0 then forget_ack t ~client ~store ~uid
+  else Hashtbl.replace (inner t.vv client) (store, Store.Uid.serial uid) counter
 
 let note_store t ~store ~uid counter =
   if counter >= 0 then begin
-    let key = (store, Store.Uid.serial uid) in
-    match Hashtbl.find_opt t.sv key with
+    let floors = inner t.sv store in
+    let serial = Store.Uid.serial uid in
+    match Hashtbl.find_opt floors serial with
     | Some c when c >= counter -> ()
-    | _ -> Hashtbl.replace t.sv key counter
+    | _ -> Hashtbl.replace floors serial counter
   end
 
-let store_floor t ~store ~uid = Hashtbl.find_opt t.sv (store, Store.Uid.serial uid)
+let store_floor t ~store ~uid =
+  match Hashtbl.find_opt t.sv store with
+  | None -> None
+  | Some floors -> Hashtbl.find_opt floors (Store.Uid.serial uid)
 
 (* The delta-base lookup: the per-client ack and the shared floor are
    both lower bounds on the store's (monotone) committed counter — the
@@ -198,23 +223,8 @@ let known_version t ~client ~store ~uid =
   | (Some _ as k), None | None, (Some _ as k) -> k
   | None, None -> None
 
-let drop_store t store =
-  let doomed =
-    Hashtbl.fold
-      (fun ((s, _) as key) _ acc ->
-        if String.equal s store then key :: acc else acc)
-      t.sv []
-  in
-  List.iter (Hashtbl.remove t.sv) doomed
-
-let drop_client t client =
-  let doomed =
-    Hashtbl.fold
-      (fun ((c, _, _) as key) _ acc ->
-        if String.equal c client then key :: acc else acc)
-      t.vv []
-  in
-  List.iter (Hashtbl.remove t.vv) doomed
+let drop_store t store = Hashtbl.remove t.sv store
+let drop_client t client = Hashtbl.remove t.vv client
 
 (* --- golden full-state shadow (audit support) --- *)
 

@@ -3,8 +3,8 @@
     Commits a long sequence of two-store writes while one store suffers a
     brownout ({!Net.Fault.brownout_for} — probabilistic service-time
     inflation below every timeout) and compares commit-latency
-    percentiles with the world's [hedged_rpc] knob off vs on, same seed,
-    same schedule. Hedged scatters race a health-delayed backup copy of
+    percentiles with the world's gray-failure profile [Off] vs [Hedged],
+    same seed, same schedule. Hedged scatters race a health-delayed backup copy of
     each idempotent store call against the primary, so the latency tail
     of the browned store is suppressed quadratically. *)
 
@@ -21,8 +21,8 @@ type sample = {
 val episode :
   hedged:bool -> prob:float -> commits:int -> seed:int64 -> unit -> sample
 (** One world: [commits] sequential commits from a single client with the
-    brownout at [prob] on store ["t1"]; [hedged] sets the world's
-    [hedged_rpc] knob. Deterministic in all four parameters. *)
+    brownout at [prob] on store ["t1"]; [hedged] selects the world's
+    [Hedged] gray-failure profile over [Off]. Deterministic in all four parameters. *)
 
 val p99_ratio :
   ?prob:float -> ?commits:int -> ?seed:int64 -> unit ->

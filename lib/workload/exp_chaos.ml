@@ -192,27 +192,27 @@ let run_world ?(durable = false) ?(optimistic = false) ?(groupcommit = false)
        of the hot-path work: validated snapshot commits and pipelined
        scheme-A binds; the groupcommit world keeps those on and batches
        the copy-back through the group-commit plane, so batch leadership,
-       peel-outs, orphaned members and floor gossip all run under the
-       fault schedule. The brownout world keeps the optimistic hot path
-       (unbatched, so every phase-1 prepare carries the action deadline)
-       and turns on the whole gray-failure plane — hedged scatters,
-       deadline shedding, degraded breaker trips — plus the periodic
-       floor-gossip daemon, whose daemon sleeps are what let the drain
-       below still terminate. The autonomic world stacks the §16
-       membership plane on top of the brownout world's knobs: three
-       controller daemons (one per server) probing the stores, plus
-       sibling-hedge routing on the commit path — flapping brownouts,
-       crash churn and the controllers' Exclude/Include churn all share
-       the schedule, and the audit must still come out clean without the
-       membership plane livelocking (hysteresis + cooldown). *)
+       peel-outs, orphaned members and piggybacked floors all run under
+       the fault schedule. The brownout world keeps the optimistic hot
+       path (unbatched, so every phase-1 prepare carries the action
+       deadline) and runs the [Hedged] gray-failure profile — hedged
+       scatters, deadline shedding, degraded breaker trips. The
+       autonomic world runs the [Autonomic] profile on the brownout
+       world's schedule: three controller daemons (one per server)
+       probing the stores, whose daemon sleeps are what let the drain
+       below still terminate, plus sibling-hedge routing on the commit
+       path — flapping brownouts, crash churn and the controllers'
+       Exclude/Include churn all share the schedule, and the audit must
+       still come out clean without the membership plane livelocking
+       (hysteresis + cooldown). *)
     Service.create ~seed ~durable_naming:durable ~delta_shipping:true
       ~force_delta:true ~optimistic_commit:optimistic
       ~pipelined_binds:optimistic
       ~commit_batch_window:(if groupcommit then 2.0 else 0.0)
-      ~floor_gossip_period:(if brownout then 7.0 else 0.0)
-      ~hedged_rpc:brownout ~deadline_shedding:brownout
-      ~degraded_trips:brownout ~hedge_to_sibling:autonomic
-      ~autonomic_membership:autonomic
+      ~gray_failure:
+        (if autonomic then Net.Network.Autonomic
+         else if brownout then Net.Network.Hedged
+         else Net.Network.Off)
       {
         Service.gvd_node = "ns";
         gvd_nodes = [ "ns2" ];
@@ -557,16 +557,15 @@ let run_check ?(seeds = default_seeds) () =
       "snapshot and binds scheme A through the pipelined Join scatter;";
       "the groupcommit world keeps those on and batches copy-backs";
       "through the group-commit plane (window 2.0), putting batch";
-      "leadership, peel-outs, orphaned members and piggybacked floor";
-      "gossip under the same fault schedules. The brownout world adds";
-      "gray failures (per-node service-time inflation, below every";
-      "timeout) to the durable crash pool and runs the resilience plane";
-      "against them: hedged 2PC/naming scatters, 25s action deadlines";
-      "with server-side shedding of expired phase-1 work";
-      "(retry.shed_expired must fire somewhere in the seed set),";
-      "breaker trips on sustained slowness, and the periodic";
-      "floor-gossip daemon kept alive across crashes. The autonomic";
-      "world stacks the §16 membership plane on the brownout knobs:";
+      "leadership, peel-outs, orphaned members and piggybacked floors";
+      "under the same fault schedules. The brownout world adds gray";
+      "failures (per-node service-time inflation, below every timeout)";
+      "to the durable crash pool and runs the Hedged gray-failure";
+      "profile against them: hedged 2PC/naming scatters, 25s action";
+      "deadlines with server-side shedding of expired phase-1 work";
+      "(retry.shed_expired must fire somewhere in the seed set), and";
+      "breaker trips on sustained slowness. The autonomic world runs";
+      "the Autonomic profile, which stacks the §16 membership plane:";
       "per-server controller daemons probing the stores and driving";
       "health-based Exclude/Include through the validated rounds, plus";
       "sibling-hedge routing of commit-path backup copies — flapping";

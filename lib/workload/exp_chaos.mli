@@ -23,20 +23,21 @@
     fault plane, with St-revision monotonicity monitored),
     {e groupcommit} (optimistic plus the group-commit plane with a 2.0
     batch window, so batch leadership, vote peel-outs, orphaned members
-    and piggybacked floor gossip all run under the fault schedules), and
+    and piggybacked floors all run under the fault schedules), and
     {e brownout} (durable + optimistic crash pool extended with gray
     failures — {!Net.Fault.brownout_for} service-time inflation that
-    stays below every timeout — with the whole resilience plane on:
-    hedged scatter-gathers, 25s action deadlines propagated to servers
-    that shed expired phase-1 work, breaker trips on sustained
-    slowness, and the periodic floor-gossip daemon running throughout,
-    its idle waits daemon-parked so quiescence drains still terminate.
-    The check additionally fails if [retry.shed_expired] never fired
-    across the brownout runs — the shedding plane must be exercised,
-    not merely enabled), and {e autonomic} (the brownout world plus the
-    §16 membership plane: one {!Replica.Autonomic} controller daemon per
-    server probing the stores and driving health-based Exclude/Include
-    through the validated membership rounds, and sibling-hedge routing
+    stays below every timeout — under the [Hedged] gray-failure
+    profile: hedged scatter-gathers, 25s action deadlines propagated to
+    servers that shed expired phase-1 work, and breaker trips on
+    sustained slowness. The check additionally fails if
+    [retry.shed_expired] never fired across the brownout runs — the
+    shedding plane must be exercised, not merely enabled), and
+    {e autonomic} (the brownout world under the [Autonomic] profile,
+    which adds the §16 membership plane: one {!Replica.Autonomic}
+    controller daemon per server, its idle waits daemon-parked so
+    quiescence drains still terminate, probing the stores and driving
+    health-based Exclude/Include through the validated membership
+    rounds, and sibling-hedge routing
     of commit-path backup copies — flapping brownouts, crash churn and
     controller-driven membership churn under one schedule, which must
     neither livelock membership nor dirty the audit).
@@ -74,10 +75,10 @@ val run_world :
 (** One full run: build the world from [seed] (durable naming iff
     [durable]; optimistic commits and pipelined binds iff [optimistic];
     batched commits with window 2.0 iff [groupcommit]; iff [brownout],
-    the gray-failure resilience plane — hedged scatters, 25s action
-    deadlines with server-side shedding, degraded breaker trips — plus
-    the 7.0-period floor-gossip daemon; iff [autonomic], additionally
-    the §16 membership plane and sibling-hedge routing), inject
+    gray-failure faults and the [Hedged] profile — hedged scatters, 25s
+    action deadlines with server-side shedding, degraded breaker trips;
+    iff [autonomic], the [Autonomic] profile instead, which adds the §16
+    membership plane and sibling-hedge routing), inject
     [events], drive the workload to quiescence, audit. Deterministic in
     [(durable, optimistic, groupcommit, brownout, autonomic, seed,
     events)]. *)

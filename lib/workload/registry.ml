@@ -130,7 +130,7 @@ let all =
     {
       id = "tab-groupcommit";
       paper_artefact = "§2.3(3) (optimised)";
-      synopsis = "group-commit: coalesced 2PC rounds + acked-floor gossip";
+      synopsis = "group-commit: coalesced 2PC rounds + piggybacked acked floors";
       runner = (fun () -> Exp_groupcommit.run ());
     };
     {

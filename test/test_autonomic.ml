@@ -3,7 +3,7 @@
    heal-then-re-Include — driven deterministically through fabricated
    drivers, plus the tab-autonomic tier-1 pins (autonomic steady-state
    p99 back at baseline under a harsh brownout, healed store re-included
-   consistently) and the off-path identity of the sibling-hedge knob. *)
+   consistently) and the off-path identity of sibling-hedge routing. *)
 
 open Naming
 module Au = Replica.Autonomic
@@ -237,11 +237,13 @@ let test_autonomic_pins () =
 (* ------------------------------------------------------------------ *)
 (* Off-path identity: with healthy stores no hedge ever fires, so
    routing the backup copy to a sibling is a latent change — the whole
-   trace must be byte-identical with the knob on. *)
+   trace must be byte-identical with sibling routing on. Setting the
+   network's profile to [Autonomic] after [create] turns sibling routing
+   on without starting any controller daemon. *)
 
 let sibling_trace ~hedge () =
   let w =
-    Service.create ~seed:53L ~hedged_rpc:true ~hedge_to_sibling:hedge
+    Service.create ~seed:53L ~gray_failure:Net.Network.Hedged
       ~latency:(fun rng -> Sim.Rng.uniform rng 0.05 0.15)
       {
         Service.gvd_node = "ns";
@@ -251,6 +253,8 @@ let sibling_trace ~hedge () =
         client_nodes = [ "c1" ];
       }
   in
+  if hedge then
+    Net.Network.set_gray_failure (Service.network w) Net.Network.Autonomic;
   let uid =
     Service.create_object w ~name:"obj" ~impl:"counter" ~sv:[ "alpha" ]
       ~st:[ "t1"; "t2" ] ()
@@ -273,7 +277,7 @@ let test_sibling_hedge_off_path_identical () =
   let off = sibling_trace ~hedge:false () in
   let on = sibling_trace ~hedge:true () in
   check_int "same trace length" (List.length off) (List.length on);
-  check_bool "byte-identical traces with the knob on" true (off = on)
+  check_bool "byte-identical traces with sibling routing on" true (off = on)
 
 (* ------------------------------------------------------------------ *)
 (* Property: random brownout/heal schedules on the full autonomic world
@@ -289,8 +293,8 @@ let prop_autonomic_random_schedules =
         (float_range 30.0 300.0))
     (fun (seed, prob, duration) ->
       let w =
-        Service.create ~seed:(Int64.of_int seed) ~hedged_rpc:true
-          ~hedge_to_sibling:true ~autonomic_membership:true
+        Service.create ~seed:(Int64.of_int seed)
+          ~gray_failure:Net.Network.Autonomic
           ~latency:(fun rng -> Sim.Rng.uniform rng 0.05 0.15)
           {
             Service.gvd_node = "ns";
@@ -338,7 +342,7 @@ let suite =
           test_failed_exclude_backs_off;
         Alcotest.test_case "pins: steady p99 at baseline, healed re-include"
           `Quick test_autonomic_pins;
-        Alcotest.test_case "prob 0: sibling hedge knob is trace-identical"
+        Alcotest.test_case "prob 0: sibling hedge routing is trace-identical"
           `Quick test_sibling_hedge_off_path_identical;
         Test_util.qcheck prop_autonomic_random_schedules;
       ] );

@@ -1,8 +1,8 @@
 (* Tests for the gray-failure resilience plane: the per-destination
    latency health tracker, deadline propagation and server-side shedding,
    the deadline-independent forced half-open probe, daemon-aware drains
-   (floor gossip no longer blocks quiescence), cooperative hedge
-   cancellation, and the tab-brownout tier-1 pin: hedged p99 commit
+   (the autonomic controller daemons never block quiescence), cooperative
+   hedge cancellation, and the tab-brownout tier-1 pin: hedged p99 commit
    latency >= 2x better than unhedged under a browned-out store. *)
 
 open Naming
@@ -103,7 +103,7 @@ let echo : (string, string) Net.Rpc.endpoint = Net.Rpc.endpoint "echo"
 
 let test_shed_expired_refuses_work () =
   let eng, net, rpc = shed_world () in
-  Net.Rpc.set_shed_expired rpc true;
+  Net.Network.set_gray_failure net Net.Network.Hedged;
   let ran = ref 0 in
   Net.Rpc.serve rpc ~node:"server" echo (fun s -> incr ran; s);
   let got = ref (Ok "unset") in
@@ -169,7 +169,8 @@ let test_forced_probe_under_deadline () =
     (Net.Retry.breaker_open retry "server")
 
 (* ------------------------------------------------------------------ *)
-(* Daemon-aware drain: floor gossip must not block quiescence *)
+(* Daemon-aware drain: the autonomic controllers must not block
+   quiescence *)
 
 let topo =
   {
@@ -180,11 +181,11 @@ let topo =
     client_nodes = [ "c1" ];
   }
 
-let test_gossip_daemon_drains () =
-  (* Before daemon-aware drains this looped forever: every gossip cycle
-     issued an RPC whose 60s guard timer kept [nondaemon_queued] above
-     zero, so the drain chased an ever-receding horizon. *)
-  let w = Service.create ~seed:5L ~floor_gossip_period:7.0 topo in
+let test_controller_daemons_drain () =
+  (* Without daemon-aware drains this loops forever: every probe round
+     issues RPCs whose 60s guard timers keep [nondaemon_queued] above
+     zero, so the drain chases an ever-receding horizon. *)
+  let w = Service.create ~seed:5L ~gray_failure:Net.Network.Autonomic topo in
   let uid =
     Service.create_object w ~name:"obj" ~impl:"counter" ~sv:[ "alpha" ]
       ~st:[ "t1"; "t2" ] ()
@@ -252,7 +253,10 @@ let prop_hedged_dup_exactly_once =
     QCheck.(
       triple (int_range 1 1000) (float_range 0.0 0.3) (float_range 5.0 15.0))
     (fun (seed, prob, lo) ->
-      let w = Service.create ~seed:(Int64.of_int seed) ~hedged_rpc:true topo in
+      let w =
+        Service.create ~seed:(Int64.of_int seed)
+          ~gray_failure:Net.Network.Hedged topo
+      in
       let uid =
         Service.create_object w ~name:"obj" ~impl:"counter" ~sv:[ "alpha" ]
           ~st:[ "t1"; "t2" ] ()
@@ -311,8 +315,8 @@ let suite =
           test_shed_off_deadline_is_inert;
         Alcotest.test_case "forced half-open probe beats the deadline" `Quick
           test_forced_probe_under_deadline;
-        Alcotest.test_case "floor-gossip daemon does not block the drain"
-          `Quick test_gossip_daemon_drains;
+        Alcotest.test_case "controller daemons do not block the drain"
+          `Quick test_controller_daemons_drain;
         Alcotest.test_case "pin: hedged p99 >= 2x under brownout" `Quick
           test_brownout_p99_pin;
         Alcotest.test_case "prob 0: hedged run identical to unhedged" `Quick

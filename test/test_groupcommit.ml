@@ -1,7 +1,7 @@
 (* Tests for the group-commit plane (Replica.Groupcommit): batch window
    close and quiescence-pull, singleton-batch equivalence with the solo
-   scatter, per-action vote peel-out, acked-floor piggybacking and
-   anti-entropy gossip, the tier-1 round-reduction pin, and a QCheck
+   scatter, per-action vote peel-out, acked-floor piggybacking scoped to
+   the batch, the tier-1 round-reduction pin, and a QCheck
    property that batched and solo execution reach byte-equal store
    states under random interleavings. *)
 
@@ -21,9 +21,8 @@ let topo clients =
     client_nodes = clients;
   }
 
-let mk_world ?(seed = 13L) ?(window = 0.0) ?(gossip = 0.0) clients =
-  Service.create ~seed ~commit_batch_window:window
-    ~floor_gossip_period:gossip (topo clients)
+let mk_world ?(seed = 13L) ?(window = 0.0) clients =
+  Service.create ~seed ~commit_batch_window:window (topo clients)
 
 let new_counter w name =
   Service.create_object w ~name ~impl:"counter" ~sv:[ "alpha" ] ~st:stores ()
@@ -183,8 +182,7 @@ let test_peel_out () =
     (payload w "t2" uid2)
 
 (* Floors piggyback on the batched phase-2 acks: after a two-member
-   batch commits, every (store, object) floor is known to the oplog
-   without any anti-entropy round having run. *)
+   batch commits, every (store, object) floor is known to the oplog. *)
 
 let test_floor_piggyback () =
   let w, uid1, uid2, results = paired_world ~sabotage:false () in
@@ -194,7 +192,6 @@ let test_floor_piggyback () =
   check_int "one batched phase 2" 1 (counter m "groupcommit.p2_batches");
   check_bool "floors folded from the acks" true
     (counter m "groupcommit.floors_gossiped" >= 4);
-  check_int "no anti-entropy ran" 0 (counter m "groupcommit.anti_entropy_rounds");
   let olog = Replica.Server.oplog (Service.server_runtime w) in
   let sh = Service.store_host w in
   List.iter
@@ -244,69 +241,6 @@ let test_ack_scoped_to_batch () =
         None
         (Replica.Oplog.store_floor olog ~store ~uid:bystander))
     stores
-
-(* ------------------------------------------------------------------ *)
-(* Anti-entropy floor gossip: a round seeds the floors of quiet stores;
-   a store crash drops its floors (Oplog.drop_store); a round after
-   recovery converges them back. *)
-
-let test_anti_entropy_convergence () =
-  let w = mk_world ~seed:29L [ "c1" ] in
-  let uid = new_counter w "obj" in
-  Service.run ~until:1.0 w;
-  Service.spawn_client w "c1" (fun () ->
-      match commit_add w ~client:"c1" ~uid with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "commit failed: %s" e);
-  Service.run w;
-  let gc = Replica.Server.groupcommit (Service.server_runtime w) in
-  let olog = Replica.Server.oplog (Service.server_runtime w) in
-  let floor store = Replica.Oplog.store_floor olog ~store ~uid in
-  let committed store =
-    let os = Action.Store_host.objects (Service.store_host w) store in
-    (Option.get (Store.Object_store.version_of os uid)).Store.Version.counter
-  in
-  (* Solo commits never fed the floor (delta shipping is off here). *)
-  Alcotest.(check (option int)) "no floor yet" None (floor "t1");
-  let gossip () =
-    Net.Network.spawn_on (Service.network w) "alpha" (fun () ->
-        Replica.Groupcommit.anti_entropy gc ~from:"alpha" ~stores);
-    Service.run w
-  in
-  gossip ();
-  Alcotest.(check (option int)) "t1 floor" (Some (committed "t1")) (floor "t1");
-  Alcotest.(check (option int)) "t2 floor" (Some (committed "t2")) (floor "t2");
-  (* Crash t1: its floors die with it; t2's survive. *)
-  let eng = Service.engine w in
-  let now = Sim.Engine.now eng in
-  Net.Fault.crash_for (Service.network w) ~at:(now +. 1.0) ~duration:10.0 "t1";
-  let mid = ref (Some (-1)) in
-  Sim.Engine.schedule eng ~delay:5.0 (fun () -> mid := floor "t1");
-  Service.run w;
-  Alcotest.(check (option int)) "crash dropped t1's floor" None !mid;
-  Alcotest.(check (option int)) "t2 floor survives" (Some (committed "t2"))
-    (floor "t2");
-  (* A round after recovery converges the floor back. *)
-  gossip ();
-  Alcotest.(check (option int)) "t1 floor restored" (Some (committed "t1"))
-    (floor "t1");
-  check_int "two anti-entropy rounds" 2
-    (counter (Service.metrics w) "groupcommit.anti_entropy_rounds")
-
-(* The Service-level daemon: [floor_gossip_period] runs rounds on its
-   own cadence (an infinite fiber, so the world is driven with ~until). *)
-
-let test_gossip_daemon () =
-  let w = mk_world ~seed:31L ~gossip:7.0 [ "c1" ] in
-  let uid = new_counter w "obj" in
-  Service.run ~until:30.0 w;
-  let m = Service.metrics w in
-  (* Fires every ~7.0 plus the round's own RPC time: 3 rounds by 30. *)
-  check_int "rounds on the 7.0 cadence" 3
-    (counter m "groupcommit.anti_entropy_rounds");
-  let olog = Replica.Server.oplog (Service.server_runtime w) in
-  check_bool "quiet store's floor is known" true
-    (Replica.Oplog.store_floor olog ~store:"t1" ~uid <> None)
 
 (* ------------------------------------------------------------------ *)
 (* The acceptance pin: at 8 synchronised clients, group commit cuts
@@ -405,10 +339,6 @@ let suite =
           test_floor_piggyback;
         Alcotest.test_case "pin: batched ack carries only the batch's floors"
           `Quick test_ack_scoped_to_batch;
-        Alcotest.test_case "anti-entropy converges floors after a crash" `Quick
-          test_anti_entropy_convergence;
-        Alcotest.test_case "floor-gossip daemon runs on its period" `Quick
-          test_gossip_daemon;
         Alcotest.test_case "pin: >= 1.5x round reduction at 8 clients" `Quick
           test_round_reduction_pin;
         Test_util.qcheck prop_grouped_solo_byte_equal;

@@ -94,8 +94,15 @@ let test_compaction () =
     (List.length (Replica.Oplog.records l ~node:"s1" ~uid));
   check_int "aged records counted as truncations" 5
     (Sim.Metrics.counter m "oplog.truncations");
+  (* A crash forgets exactly the crashed node's logs. *)
+  Replica.Oplog.append l ~now:200.0 ~node:"s2" ~uid ~version:(v 6)
+    ~ops:[ "op" ];
+  let s2 = Replica.Oplog.records l ~node:"s2" ~uid in
   Replica.Oplog.drop_node l "s1";
-  check_int "crash drops the node's logs" 0 (Replica.Oplog.resident l)
+  check_int "crash drops the node's logs" 1 (Replica.Oplog.resident l);
+  check_bool "other node's log untouched" true
+    (Replica.Oplog.records l ~node:"s1" ~uid = []
+    && Replica.Oplog.records l ~node:"s2" ~uid = s2)
 
 (* Unit: acknowledged-version vector life cycle *)
 
@@ -112,8 +119,19 @@ let test_version_vector () =
   Replica.Oplog.forget_ack l ~client:"c1" ~store:"t1" ~uid;
   check_bool "lost acknowledgement forgets" true (acked () = None);
   Replica.Oplog.note_acked l ~client:"c1" ~store:"t1" ~uid 6;
+  Replica.Oplog.note_acked l ~client:"c2" ~store:"t1" ~uid 7;
   Replica.Oplog.drop_client l "c1";
-  check_bool "client crash drops its vector" true (acked () = None)
+  check_bool "client crash drops its vector" true (acked () = None);
+  check_bool "other client's vector untouched" true
+    (Replica.Oplog.last_acked l ~client:"c2" ~store:"t1" ~uid = Some 7);
+  (* Store crashes forget exactly that store's shared floors. *)
+  Replica.Oplog.note_store l ~store:"t1" ~uid 7;
+  Replica.Oplog.note_store l ~store:"t2" ~uid 7;
+  Replica.Oplog.drop_store l "t1";
+  check_bool "crashed store's floor gone" true
+    (Replica.Oplog.store_floor l ~store:"t1" ~uid = None);
+  check_bool "other store's floor untouched" true
+    (Replica.Oplog.store_floor l ~store:"t2" ~uid = Some 7)
 
 (* Unit: golden-shadow sliding window *)
 
