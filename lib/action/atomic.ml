@@ -74,6 +74,8 @@ let tracef t fmt =
     ~now:(Sim.Engine.now (engine t.rt))
     ~tag:"action" fmt
 
+let tracing t = Sim.Trace.enabled (Net.Network.trace (network t.rt))
+
 (* Install the coordinator decision service on a node the first time it
    coordinates. Consults the volatile active set, then the stable decision
    record; absence of both is presumed abort. *)
@@ -234,7 +236,7 @@ let release_resource t ~rnode ~op call =
 let abort t ~reason =
   if t.st = Running then begin
     t.st <- Aborted;
-    tracef t "%s abort: %s" (owner t) reason;
+    if tracing t then tracef t "%s abort: %s" (owner t) reason;
     Sim.Metrics.incr (metrics t) "action.aborts";
     List.iter (fun undo -> undo ()) t.undo_hooks;
     let eng = engine t.rt in
@@ -371,7 +373,7 @@ let commit_top t =
             Store.Intent_log.Commit;
           deactivate t;
           t.st <- Committed;
-          tracef t "%s commit" action;
+          if tracing t then tracef t "%s commit" action;
           Sim.Metrics.incr (metrics t) "action.commits";
           (* Phase 2, scattered: best effort; a crashed participant
              resolves through recovery against our decision record. *)

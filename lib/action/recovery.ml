@@ -34,7 +34,7 @@ let resolve_by_peers rt ~node ~action =
       in
       if committed then
         ignore (Store_host.commit sh ~from:node ~store:node ~action)
-      else Store.Intent_log.resolve log ~action
+      else Store_host.resolve sh ~node ~action
 
 let resolve_in_doubt rt ~node ?(retry_delay = 2.0) () =
   let sh = Atomic.store_host rt in
@@ -73,7 +73,7 @@ let resolve_in_doubt rt ~node ?(retry_delay = 2.0) () =
                 ())
         | Ok `Abort ->
             tracef "%s: in-doubt %s -> presumed abort" node action;
-            Store.Intent_log.resolve log ~action
+            Store_host.resolve sh ~node ~action
         | Error _ ->
             (* Retry budget exhausted with the coordinator unreachable or
                stuck deciding: settle from peer commit evidence, else
@@ -164,7 +164,7 @@ let break_stale_reservations rt ?(tries = 5) ?(retry_delay = 2.0) () =
                 | Ok `Abort ->
                     tracef "%s: blocked reservation %s -> presumed abort" node
                       action;
-                    Store.Intent_log.resolve log ~action
+                    Store_host.resolve sh ~node ~action
                 | Error _ ->
                     tracef
                       "%s: reservation %s coordinator unreachable -> peer \
@@ -175,42 +175,68 @@ let break_stale_reservations rt ?(tries = 5) ?(retry_delay = 2.0) () =
           end)
         blockers)
 
+(* In-doubt resolution for one prepare record of [node], run when the
+   action's coordinator crashes before the record resolved. *)
+let settle_in_doubt rt ~node ~action ~coordinator () =
+  let sh = Atomic.store_host rt in
+  let log = Store_host.log sh node in
+  let outcome =
+    Net.Retry.run (Atomic.retry rt) ~dst:coordinator ~op:"recovery.indoubt"
+      (Net.Retry.policy ~attempts:65 ~base:5.0 ~factor:1.2 ~max_delay:8.0 ())
+      (fun () ->
+        match Store.Intent_log.prepared log ~action with
+        | None -> Ok `Resolved
+        | Some _ -> (
+            match Atomic.query_decision rt ~from:node ~coordinator ~action with
+            | Ok Atomic.D_commit -> Ok `Commit
+            | Ok (Atomic.D_abort | Atomic.D_unknown) -> Ok `Abort
+            | Ok Atomic.D_active -> Error "coordinator still deciding"
+            | Error e -> Error (error_str e)))
+  in
+  match outcome with
+  | Ok `Resolved -> () (* resolved through the normal path *)
+  | Ok `Commit -> ignore (Store_host.commit sh ~from:node ~store:node ~action)
+  | Ok `Abort -> Store_host.resolve sh ~node ~action
+  | Error _ ->
+      (* The coordinator never came back: settle from peer commit
+         evidence, else presume abort rather than reserve the object
+         forever. *)
+      resolve_by_peers rt ~node ~action
+
+(* One crash watch per prepare record: an action's later prepares at the
+   same store merge into its record and share the watch. The watch is
+   withdrawn when the record resolves, and every watch of a store goes
+   when the store crashes: its recovery ([attach]) settles its in-doubt
+   records itself. *)
 let guard_prepares rt =
   let sh = Atomic.store_host rt in
   let net = Atomic.network rt in
+  let guards = Hashtbl.create 8 in
+  let table node =
+    match Hashtbl.find guards node with
+    | tbl -> tbl
+    | exception Not_found ->
+        let tbl = Hashtbl.create 16 in
+        Hashtbl.add guards node tbl;
+        Net.Network.on_crash net node (fun () ->
+            Hashtbl.iter (fun _ w -> Net.Network.unwatch w) tbl;
+            Hashtbl.reset tbl);
+        tbl
+  in
   Store_host.set_prepare_hook sh (fun ~node ~action ~coordinator ->
-      ignore
-        (Net.Network.watch_crash net coordinator (fun () ->
-             Net.Network.spawn_on net node
-               ~name:(Printf.sprintf "%s.indoubt:%s" node action) (fun () ->
-                 let log = Store_host.log sh node in
-                 let outcome =
-                   Net.Retry.run (Atomic.retry rt) ~dst:coordinator
-                     ~op:"recovery.indoubt"
-                     (Net.Retry.policy ~attempts:65 ~base:5.0 ~factor:1.2
-                        ~max_delay:8.0 ())
-                     (fun () ->
-                       match Store.Intent_log.prepared log ~action with
-                       | None -> Ok `Resolved
-                       | Some _ -> (
-                           match
-                             Atomic.query_decision rt ~from:node ~coordinator
-                               ~action
-                           with
-                           | Ok Atomic.D_commit -> Ok `Commit
-                           | Ok (Atomic.D_abort | Atomic.D_unknown) ->
-                               Ok `Abort
-                           | Ok Atomic.D_active ->
-                               Error "coordinator still deciding"
-                           | Error e -> Error (error_str e)))
-                 in
-                 match outcome with
-                 | Ok `Resolved -> () (* resolved through the normal path *)
-                 | Ok `Commit ->
-                     ignore (Store_host.commit sh ~from:node ~store:node ~action)
-                 | Ok `Abort -> Store.Intent_log.resolve log ~action
-                 | Error _ ->
-                     (* The coordinator never came back: settle from peer
-                        commit evidence, else presume abort rather than
-                        reserve the object forever. *)
-                     resolve_by_peers rt ~node ~action))))
+      let tbl = table node in
+      if not (Hashtbl.mem tbl action) then
+        Hashtbl.add tbl action
+          (Net.Network.watch_crash net coordinator (fun () ->
+               Net.Network.spawn_on net node
+                 ~name:(Printf.sprintf "%s.indoubt:%s" node action)
+                 (settle_in_doubt rt ~node ~action ~coordinator))));
+  Store_host.set_resolve_hook sh (fun ~node ~action ->
+      match Hashtbl.find guards node with
+      | exception Not_found -> ()
+      | tbl -> (
+          match Hashtbl.find tbl action with
+          | exception Not_found -> ()
+          | w ->
+              Hashtbl.remove tbl action;
+              Net.Network.unwatch w))

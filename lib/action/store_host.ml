@@ -33,6 +33,7 @@ type t = {
   mutable prepare_hook :
     (node:Net.Network.node_id -> action:string -> coordinator:string -> unit)
     option;
+  mutable resolve_hook : (node:Net.Network.node_id -> action:string -> unit) option;
   mutable reservation_hook :
     (node:Net.Network.node_id -> blockers:(string * string) list -> unit)
     option;
@@ -62,6 +63,7 @@ let create rpc_rt =
     rpc_rt;
     hosts = Hashtbl.create 16;
     prepare_hook = None;
+    resolve_hook = None;
     reservation_hook = None;
     delta_applier = None;
     ep_read = Net.Rpc.endpoint "store.read";
@@ -84,7 +86,13 @@ let host t node =
   | Some h -> h
   | None -> invalid_arg (Printf.sprintf "Store_host: no store on %s" node)
 
-let apply_commit h action =
+(* Every discarded prepare record, whether applied or aborted, passes
+   through here, so the resolve hook sees each intent end. *)
+let resolve_intent t node h action =
+  Store.Intent_log.resolve h.h_log ~action;
+  match t.resolve_hook with Some hook -> hook ~node ~action | None -> ()
+
+let apply_commit t node h action =
   (match Store.Intent_log.prepared h.h_log ~action with
   | None -> () (* already applied: idempotent *)
   | Some { Store.Intent_log.writes; _ } ->
@@ -98,7 +106,7 @@ let apply_commit h action =
           in
           if not stale then Store.Object_store.write h.h_objects uid state)
         writes);
-  Store.Intent_log.resolve h.h_log ~action
+  resolve_intent t node h action
 
 (* Resolve a wire write to the full state the intent log will stage.
 
@@ -325,14 +333,15 @@ let add t node =
   Net.Rpc.serve t.rpc_rt ~node t.ep_prepare (fun req -> prepare_one t h node req);
   Net.Rpc.serve t.rpc_rt ~node t.ep_prepare_batch (fun reqs ->
       List.map (fun req -> (req.pr_action, prepare_one t h node req)) reqs);
-  Net.Rpc.serve t.rpc_rt ~node t.ep_commit (fun action -> apply_commit h action);
+  Net.Rpc.serve t.rpc_rt ~node t.ep_commit (fun action ->
+      apply_commit t node h action);
   Net.Rpc.serve t.rpc_rt ~node t.ep_commit_batch (fun actions ->
       let written = batch_writes h actions in
-      List.iter (fun action -> apply_commit h action) actions;
+      List.iter (fun action -> apply_commit t node h action) actions;
       floors_of h written);
   Net.Rpc.serve t.rpc_rt ~node t.ep_ping (fun () -> ());
   Net.Rpc.serve t.rpc_rt ~node t.ep_abort (fun action ->
-      Store.Intent_log.resolve h.h_log ~action);
+      resolve_intent t node h action);
   Net.Rpc.serve t.rpc_rt ~node t.ep_decision (fun action ->
       Store.Intent_log.decision_of h.h_log ~action)
 
@@ -454,6 +463,8 @@ let decision t ~from ~coordinator ~action =
   Net.Rpc.call t.rpc_rt ~from ~dst:coordinator t.ep_decision action
 
 let set_prepare_hook t hook = t.prepare_hook <- Some hook
+let set_resolve_hook t hook = t.resolve_hook <- Some hook
+let resolve t ~node ~action = resolve_intent t node (host t node) action
 let set_reservation_hook t hook = t.reservation_hook <- Some hook
 let set_delta_applier t applier = t.delta_applier <- Some applier
 

@@ -264,6 +264,18 @@ val set_prepare_hook :
     handler) for every accepted prepare. {!Recovery.guard_prepares} uses
     it to arrange in-doubt resolution should the coordinator crash. *)
 
+val set_resolve_hook :
+  t -> (node:Net.Network.node_id -> action:string -> unit) -> unit
+(** Install a callback invoked whenever [node] discards a prepare record:
+    phase-2 commit or abort (solo or batched), or a local {!resolve}.
+    {!Recovery.guard_prepares} uses it to withdraw the crash watch its
+    prepare hook placed on the coordinator. The callback also runs for a
+    duplicate resolution of an action with no record left. *)
+
+val resolve : t -> node:Net.Network.node_id -> action:string -> unit
+(** Discard [action]'s prepare record on the local store [node] without
+    applying it (presumed abort in recovery), running the resolve hook. *)
+
 val set_reservation_hook :
   t ->
   (node:Net.Network.node_id -> blockers:(string * string) list -> unit) ->

@@ -248,6 +248,8 @@ let tracef t fmt =
   Sim.Trace.recordf (Net.Network.trace (netw t)) ~now:(Sim.Engine.now (eng t))
     ~tag:"gvd" fmt
 
+let tracing t = Sim.Trace.enabled (Net.Network.trace (netw t))
+
 let metrics t = Net.Network.metrics (netw t)
 
 let sv_key uid = "sv:" ^ Store.Uid.to_string uid
@@ -692,9 +694,11 @@ let h_batch t { bt_uid; bt_action; bt_client; bt_replicas; bt_credits } =
                     e.e_image deltas);
             Sim.Metrics.incr (metrics t) "gvd.get_view";
             Sim.Metrics.incr (metrics t) "gvd.snapshot_reads";
-            tracef t "%s batch-bind %a chosen=[%s]%s" bt_action Store.Uid.pp
-              bt_uid (String.concat "," chosen)
-              (if removed = [] then "" else " removed=[" ^ String.concat "," removed ^ "]");
+            if tracing t then
+              tracef t "%s batch-bind %a chosen=[%s]%s" bt_action Store.Uid.pp
+                bt_uid (String.concat "," chosen)
+                (if removed = [] then ""
+                 else " removed=[" ^ String.concat "," removed ^ "]");
             Granted
               {
                 bv_impl = e.e_impl;

@@ -2,6 +2,16 @@ type node_id = string
 
 exception Unknown_node of node_id
 
+(* A crash watch: one cell of its node's intrusive ring of watches, like
+   the engine's ring of suspensions. The newest cell sits right after the
+   sentinel. An unlinked cell points at itself, so withdrawing a cell that
+   already fired (or was already withdrawn) is harmless. *)
+type watch = {
+  w_action : unit -> unit;
+  mutable w_prev : watch;
+  mutable w_next : watch;
+}
+
 type node = {
   id : node_id;
   mutable up : bool;
@@ -9,8 +19,7 @@ type node = {
   mutable grp : Sim.Engine.group;
   mutable crash_hooks : (unit -> unit) list; (* newest first *)
   mutable recover_hooks : (unit -> unit) list; (* newest first *)
-  mutable watches : (int * (unit -> unit)) list; (* watch id, action *)
-  mutable next_watch : int;
+  watches : watch; (* sentinel of the crash-watch ring *)
   fifo_last : (node_id, float ref) Hashtbl.t;
       (* per-source last FIFO delivery time *)
   link_names : (node_id, string) Hashtbl.t;
@@ -102,6 +111,18 @@ let node t id =
   | n -> n
   | exception Not_found -> raise (Unknown_node id)
 
+let no_action () = ()
+
+let watch_sentinel () =
+  let rec s = { w_action = no_action; w_prev = s; w_next = s } in
+  s
+
+let unlink_watch w =
+  w.w_prev.w_next <- w.w_next;
+  w.w_next.w_prev <- w.w_prev;
+  w.w_prev <- w;
+  w.w_next <- w
+
 let add_node t id =
   if Hashtbl.mem t.nodes id then
     invalid_arg (Printf.sprintf "Network.add_node: duplicate node %s" id);
@@ -113,8 +134,7 @@ let add_node t id =
       grp = Sim.Engine.new_group t.eng;
       crash_hooks = [];
       recover_hooks = [];
-      watches = [];
-      next_watch = 0;
+      watches = watch_sentinel ();
       fifo_last = Hashtbl.create 4;
       link_names = Hashtbl.create 4;
     }
@@ -141,13 +161,14 @@ let crash t id =
     Sim.Engine.kill_group t.eng n.grp;
     List.iter (fun f -> f ()) (List.rev n.crash_hooks);
     (* Fire crash watches after the detection delay, modelling the failure
-       detector's notification latency. *)
-    let fired = n.watches in
-    n.watches <- [];
-    List.iter
-      (fun (_, action) ->
-        Sim.Engine.schedule t.eng ~delay:t.detect_delay (fun () -> action ()))
-      fired
+       detector's notification latency: newest first, each cell unlinked
+       as it is scheduled, so the ring is empty afterwards. *)
+    let ring = n.watches in
+    while ring.w_next != ring do
+      let w = ring.w_next in
+      unlink_watch w;
+      Sim.Engine.schedule t.eng ~delay:t.detect_delay w.w_action
+    done
   end
 
 let recover t id =
@@ -320,7 +341,7 @@ let link_name n src =
       Hashtbl.add n.link_names src name;
       name
 
-let deliver t ~src ~dst ~delay f =
+let deliver t ~inline ~src ~dst ~delay f =
   Sim.Engine.schedule t.eng ~delay (fun () ->
       let n = node t dst in
       if n.up && not (partitioned t src dst) then
@@ -328,6 +349,7 @@ let deliver t ~src ~dst ~delay f =
           record t "fault" "cut drop %s->%s (one-way partition)" src dst;
           Sim.Metrics.incr t.net_metrics "fault.cut_dropped"
         end
+        else if inline then f ()
         else Sim.Engine.spawn t.eng ~group:n.grp ~name:(link_name n src) f
       else begin
         record t "net" "drop %s->%s (dst down or partitioned)" src dst;
@@ -339,11 +361,11 @@ let deliver t ~src ~dst ~delay f =
    installing a fault on one link never shifts the latency stream observed
    by other links. All fault decisions draw from the independent
    [fault_rng] stream. *)
-let send t ~src ~dst f =
+let send_gen t ~inline ~src ~dst f =
   Sim.Metrics.incr t.net_metrics "net.msgs";
   let delay = add_brownout t ~src ~dst (sample_latency t) in
   match find_fault t ~src ~dst with
-  | None -> deliver t ~src ~dst ~delay f
+  | None -> deliver t ~inline ~src ~dst ~delay f
   | Some fl ->
       if fl.f_drop > 0.0 && Sim.Rng.bool t.fault_rng fl.f_drop then begin
         record t "fault" "drop %s->%s (injected)" src dst;
@@ -373,12 +395,20 @@ let send t ~src ~dst f =
         if fl.f_dup > 0.0 && Sim.Rng.bool t.fault_rng fl.f_dup then begin
           record t "fault" "dup %s->%s" src dst;
           Sim.Metrics.incr t.net_metrics "fault.dup";
-          deliver t ~src ~dst
+          deliver t ~inline ~src ~dst
             ~delay:(delay +. Sim.Rng.uniform t.fault_rng 0.1 1.0)
             f
         end;
-        deliver t ~src ~dst ~delay f
+        deliver t ~inline ~src ~dst ~delay f
       end
+
+let send t ~src ~dst f = send_gen t ~inline:false ~src ~dst f
+
+(* A completion (an RPC reply, a cancellation notice) only withdraws a
+   crash watch and resumes a suspended caller; it never suspends, so it
+   runs inside its delivery event. A fiber would cost one more event and
+   a stack, and its first act would be to queue the resumption anyway. *)
+let send_inline t ~src ~dst f = send_gen t ~inline:true ~src ~dst f
 
 (* FIFO sends model the sequencer's reliable ordered channel: drop, dup and
    reorder would violate its contract (PROTOCOLS §11), so only delay spikes
@@ -407,26 +437,27 @@ let send_fifo t ~src ~dst f =
   in
   let arrival = Float.max (now +. lat) (!last +. 1e-6) in
   last := arrival;
-  deliver t ~src ~dst ~delay:(arrival -. now) f
-
-type watch = int
+  deliver t ~inline:false ~src ~dst ~delay:(arrival -. now) f
 
 let watch_crash t id f =
   let n = node t id in
-  let w = n.next_watch in
-  n.next_watch <- w + 1;
-  if n.up then n.watches <- (w, f) :: n.watches
+  let rec w = { w_action = f; w_prev = w; w_next = w } in
+  if n.up then begin
+    let ring = n.watches in
+    w.w_prev <- ring;
+    w.w_next <- ring.w_next;
+    ring.w_next.w_prev <- w;
+    ring.w_next <- w
+  end
   else
-    (* Already down: notify after the detection delay. *)
-    Sim.Engine.schedule t.eng ~delay:t.detect_delay (fun () -> f ());
+    (* Already down: notify after the detection delay. The cell stays
+       unlinked, so withdrawing it is a no-op. *)
+    Sim.Engine.schedule t.eng ~delay:t.detect_delay f;
   w
 
-(* Watch ids are unique, so dropping the first match is a filter; the
-   list behind it is shared, not copied. *)
-let unwatch t id w =
-  let n = node t id in
-  let rec drop = function
-    | [] -> []
-    | ((w', _) as x) :: rest -> if w' = w then rest else x :: drop rest
-  in
-  n.watches <- drop n.watches
+let unwatch w = unlink_watch w
+
+let watch_count t id =
+  let ring = (node t id).watches in
+  let rec walk w acc = if w == ring then acc else walk w.w_next (acc + 1) in
+  walk ring.w_next 0

@@ -215,6 +215,16 @@ val send : t -> src:node_id -> dst:node_id -> (unit -> unit) -> unit
     runs as a fresh fiber in [dst]'s group; otherwise the message is
     silently dropped (fail-silent network discards mail for dead nodes). *)
 
+val send_inline : t -> src:node_id -> dst:node_id -> (unit -> unit) -> unit
+(** Like {!send}, with the same latency draw, fault plane and up /
+    partition / cut checks at delivery, but [f] runs inside the delivery
+    event itself instead of in a fresh fiber. [f] must not suspend: it is
+    for completions whose whole work is to withdraw a crash watch and
+    fill an ivar or resume a suspended fiber (an RPC reply). Such a
+    resumption is still queued as a fresh zero-delay event: the resumed
+    fiber never runs inside [f]. An exception escaping [f] is re-raised
+    by {!Sim.Engine.run}, as one escaping a fiber is. *)
+
 val send_fifo : t -> src:node_id -> dst:node_id -> (unit -> unit) -> unit
 (** Like {!send} but deliveries from [src] to [dst] preserve send order
     (per-pair FIFO), as required by the sequencer-based ordered multicast. *)
@@ -228,7 +238,19 @@ val watch_crash : t -> node_id -> (unit -> unit) -> watch
 (** [watch_crash t id f] arranges for [f] to run [detect_delay] after [id]
     crashes, unless {!unwatch}ed first. Used by RPC calls to fail fast when
     the callee dies mid-call, modelling the perfect failure detector the
-    paper assumes. *)
+    paper assumes. If [id] is already down, [f] is scheduled at once (due
+    [detect_delay] from now) and the returned watch is inert.
 
-val unwatch : t -> node_id -> watch -> unit
-(** Cancel a crash watch. *)
+    Cost: one cell on an intrusive ring per node, O(1) and independent
+    of how many watches the node holds. When [id] crashes, every watch it
+    holds is scheduled newest-first (the most recent registration fires
+    first among same-instant notifications) and the ring is emptied. *)
+
+val unwatch : watch -> unit
+(** Cancel a crash watch: O(1), allocates nothing. Withdrawing a watch
+    that already fired, or was already withdrawn, is a no-op. *)
+
+val watch_count : t -> node_id -> int
+(** The number of crash watches [id] currently holds (a walk of its
+    ring). Tests use it to check that finished protocols withdrew their
+    watches. *)

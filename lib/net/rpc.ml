@@ -115,6 +115,10 @@ let record t fmt =
     ~now:(Sim.Engine.now (Network.engine t.net))
     ~tag:"rpc" fmt
 
+(* Withdraw a call's crash watch once the call completed or timed out. *)
+let unwatch_call watch_ref =
+  match !watch_ref with Some w -> Network.unwatch w | None -> ()
+
 let call_gen t ~from ~dst ?cancelled ?timeout ?deadline_at ep req =
   let eng = Network.engine t.net in
   let start = Sim.Engine.now eng in
@@ -133,12 +137,14 @@ let call_gen t ~from ~dst ?cancelled ?timeout ?deadline_at ep req =
     Error Unreachable
   end
   else begin
+    (* Every reply path (the answer, a cancelled hedge copy, a shed call,
+       a missing service) travels by [Network.send_inline]: [finish] only
+       withdraws the crash watch and resumes the caller, so it runs inside
+       the reply's delivery event and never needs a fiber of its own. *)
     let watch_ref = ref None in
     let register resume =
       let finish r =
-        (match !watch_ref with
-        | Some w -> Network.unwatch t.net dst w
-        | None -> ());
+        unwatch_call watch_ref;
         resume (Ok r)
       in
       watch_ref := Some (Network.watch_crash t.net dst (fun () -> finish (Error Crashed)));
@@ -171,23 +177,23 @@ let call_gen t ~from ~dst ?cancelled ?timeout ?deadline_at ep req =
                Sim.Metrics.incr (Network.metrics t.net) "rpc.hedge_cancelled";
                record t "%s: dropped cancelled hedge copy %s.%s" dst from
                  ep.ep_name;
-               Network.send t.net ~src:dst ~dst:from (fun () ->
+               Network.send_inline t.net ~src:dst ~dst:from (fun () ->
                    finish (Error Timed_out))
              end
              else if expired then begin
                Sim.Metrics.incr (Network.metrics t.net) "retry.shed_expired";
                record t "%s: shed expired call %s.%s" dst from ep.ep_name;
-               Network.send t.net ~src:dst ~dst:from (fun () ->
+               Network.send_inline t.net ~src:dst ~dst:from (fun () ->
                    finish (Error Timed_out))
              end
              else
                match Hashtbl.find_opt t.services (dst, ep.ep_name) with
                | None ->
-                   Network.send t.net ~src:dst ~dst:from (fun () ->
+                   Network.send_inline t.net ~src:dst ~dst:from (fun () ->
                        finish (Error No_service))
                | Some raw ->
                    raw (ep.inject_req req) ~reply:(fun resp_payload ->
-                       Network.send t.net ~src:dst ~dst:from (fun () ->
+                       Network.send_inline t.net ~src:dst ~dst:from (fun () ->
                            match ep.project_resp resp_payload with
                            | Some resp -> finish (Ok resp)
                            | None ->
@@ -200,7 +206,9 @@ let call_gen t ~from ~dst ?cancelled ?timeout ?deadline_at ep req =
     let outcome =
       match Sim.Engine.timeout eng dt register with
       | Ok r -> r
-      | Error _ -> Error Timed_out
+      | Error _ ->
+          unwatch_call watch_ref;
+          Error Timed_out
     in
     (* Latency-health feed: every completed round trip teaches the health
        plane how [dst] is doing. Pure arithmetic — no draws, no events —

@@ -88,7 +88,12 @@ val call :
     out: whenever the network's gray-failure profile is not
     {!Network.Off}, a request whose [deadline_at] has passed when it is
     unpacked is answered [Error Timed_out] without running the handler,
-    counted as [retry.shed_expired]. *)
+    counted as [retry.shed_expired].
+
+    Completion costs O(1) whatever the number of calls in flight to
+    [dst]: the call's crash watch is withdrawn from an intrusive ring,
+    and every reply path runs in its delivery event
+    ({!Network.send_inline}) rather than in a fiber of its own. *)
 
 type hedge
 (** Policy for hedged (backup-request) calls. *)

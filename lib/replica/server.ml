@@ -65,6 +65,10 @@ type instance = {
      action timed out and aborted — and executing it would stage payload
      and take locks that no completion will ever clean up. *)
   mutable i_settled : string list;
+  (* A cohort's crash watch on its coordinator, which arranges the
+     promotion chain; withdrawn once the instance stops being a cohort
+     or is destroyed. *)
+  mutable i_promotion : Net.Network.watch option;
 }
 
 type activate_req = {
@@ -207,6 +211,8 @@ let tracef t fmt =
   Sim.Trace.recordf (Net.Network.trace (net t)) ~now:(Sim.Engine.now (eng t))
     ~tag:"server" fmt
 
+let tracing t = Sim.Trace.enabled (Net.Network.trace (net t))
+
 let metrics t = Net.Network.metrics (net t)
 
 let node_instances t node =
@@ -344,11 +350,13 @@ let make_manager t inst =
                      ~ops:(List.rev ops)
                | Some [] | None -> ());
             Hashtbl.remove inst.i_staged_ops action;
-            tracef t "%s: %s instance-commit %a := %S %a" inst.i_node action
-              Store.Uid.pp inst.i_uid payload Store.Version.pp inst.i_version
+            if tracing t then
+              tracef t "%s: %s instance-commit %a := %S %a" inst.i_node action
+                Store.Uid.pp inst.i_uid payload Store.Version.pp inst.i_version
         | None ->
-            tracef t "%s: %s instance-commit %a: nothing staged" inst.i_node
-              action Store.Uid.pp inst.i_uid);
+            if tracing t then
+              tracef t "%s: %s instance-commit %a: nothing staged" inst.i_node
+                action Store.Uid.pp inst.i_uid);
         clean_applied inst action;
         release action;
         settle_action inst action;
@@ -546,9 +554,10 @@ let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } 
                          (Hashtbl.find_opt inst.i_staged_ops v_action)
                      in
                      Hashtbl.replace inst.i_staged_ops v_action (v_op :: prev));
-                  tracef t "%s: %s writes %a: %S -> %S (base %a)" node v_action
-                    Store.Uid.pp v_uid payload payload' Store.Version.pp
-                    inst.i_version
+                  if tracing t then
+                    tracef t "%s: %s writes %a: %S -> %S (base %a)" node
+                      v_action Store.Uid.pp v_uid payload payload'
+                      Store.Version.pp inst.i_version
                 end;
                 Hashtbl.replace inst.i_applied key reply;
                 Sim.Metrics.incr (metrics t) "server.invocations";
@@ -578,6 +587,7 @@ let apply_checkpoint t node msg =
             i_ckpt_holders = [];
             i_ckpt_stamp = neg_infinity;
             i_settled = [];
+            i_promotion = None;
           }
         in
         install_instance t node inst;
@@ -620,44 +630,55 @@ let assume_coordinator (_ : runtime) inst =
       inst.i_ckpt_holders
   end
 
+let withdraw_promotion inst =
+  match inst.i_promotion with
+  | None -> ()
+  | Some w ->
+      inst.i_promotion <- None;
+      Net.Network.unwatch w
+
 (* Cohort self-promotion: when the failure detector reports the
    coordinator's crash, the live member with the smallest node id takes
    over, installing the checkpointed lock table; other survivors re-watch
    whoever was elected. *)
-let rec arrange_promotion_chain t node uid coordinator =
-  ignore
-    (Net.Network.watch_crash (net t) coordinator (fun () ->
-         Net.Network.spawn_on (net t) node ~name:(node ^ ".promote") (fun () ->
-             match find_instance t node uid with
-             | None -> ()
-             | Some inst when inst.i_role <> Cohort -> ()
-             | Some inst -> (
-                 let live =
-                   List.filter
-                     (fun m ->
-                       (not (String.equal m coordinator))
-                       && Net.Network.is_up (net t) m)
-                     inst.i_members
-                 in
-                 let elected = List.fold_left
-                     (fun best m ->
-                       match best with
-                       | None -> Some m
-                       | Some b -> if String.compare m b < 0 then Some m else best)
-                     None live
-                 in
-                 match elected with
-                 | Some e when String.equal e node ->
-                     tracef t "%s promoted to coordinator of %a (holders: %s)"
-                       node Store.Uid.pp uid
-                       (String.concat ","
-                          (List.map fst inst.i_ckpt_holders));
-                     assume_coordinator t inst;
-                     Sim.Metrics.incr (metrics t) "server.promotions"
-                 | Some e ->
-                     (* Someone else took over: watch them in turn. *)
-                     arrange_promotion_chain t node uid e
-                 | None -> ()))))
+let rec arrange_promotion_chain t inst coordinator =
+  let node = inst.i_node and uid = inst.i_uid in
+  let w =
+    Net.Network.watch_crash (net t) coordinator (fun () ->
+        Net.Network.spawn_on (net t) node ~name:(node ^ ".promote") (fun () ->
+            match find_instance t node uid with
+            | None -> ()
+            | Some inst when inst.i_role <> Cohort -> ()
+            | Some inst -> (
+                withdraw_promotion inst;
+                let live =
+                  List.filter
+                    (fun m ->
+                      (not (String.equal m coordinator))
+                      && Net.Network.is_up (net t) m)
+                    inst.i_members
+                in
+                let elected =
+                  List.fold_left
+                    (fun best m ->
+                      match best with
+                      | None -> Some m
+                      | Some b -> if String.compare m b < 0 then Some m else best)
+                    None live
+                in
+                match elected with
+                | Some e when String.equal e node ->
+                    tracef t "%s promoted to coordinator of %a (holders: %s)"
+                      node Store.Uid.pp uid
+                      (String.concat "," (List.map fst inst.i_ckpt_holders));
+                    assume_coordinator t inst;
+                    Sim.Metrics.incr (metrics t) "server.promotions"
+                | Some e ->
+                    (* Someone else took over: watch them in turn. *)
+                    arrange_promotion_chain t inst e
+                | None -> ())))
+  in
+  inst.i_promotion <- Some w
 
 let make_instance t node impl uid state role members =
   {
@@ -675,6 +696,7 @@ let make_instance t node impl uid state role members =
     i_ckpt_holders = [];
     i_ckpt_stamp = neg_infinity;
     i_settled = [];
+    i_promotion = None;
   }
 
 let do_activate t node { a_uid; a_impl; a_stores; a_role; a_members } =
@@ -683,13 +705,14 @@ let do_activate t node { a_uid; a_impl; a_stores; a_role; a_members } =
      replication). *)
   let refresh inst =
     let was = inst.i_role in
+    if a_role <> Cohort then withdraw_promotion inst;
     (if a_role = Coordinator then assume_coordinator t inst
      else inst.i_role <- a_role);
     inst.i_members <- a_members;
     (if a_role = Cohort && was <> Cohort then
        match a_members with
        | coordinator :: _ when not (String.equal coordinator node) ->
-           arrange_promotion_chain t node a_uid coordinator
+           arrange_promotion_chain t inst coordinator
        | _ -> ());
     Activated inst.i_version
   in
@@ -747,7 +770,7 @@ let do_activate t node { a_uid; a_impl; a_stores; a_role; a_members } =
               install_instance t node inst;
               if a_role = Cohort then begin
                 match a_members with
-                | coordinator :: _ -> arrange_promotion_chain t node a_uid coordinator
+                | coordinator :: _ -> arrange_promotion_chain t inst coordinator
                 | [] -> ()
               end;
               Sim.Metrics.incr (metrics t) "server.activations";
@@ -818,6 +841,7 @@ let install_host t node =
       | None -> true
       | Some inst ->
           if instance_quiescent inst then begin
+            withdraw_promotion inst;
             Hashtbl.remove (node_instances t node) (Store.Uid.to_string uid);
             tracef t "passivated %a on %s" Store.Uid.pp uid node;
             true
@@ -859,6 +883,9 @@ let install_host t node =
      with them — a recovered node re-activates from the stores and
      rebuilds history from its next commits. *)
   Net.Network.on_crash (net t) node (fun () ->
+      Hashtbl.iter
+        (fun _ inst -> withdraw_promotion inst)
+        (node_instances t node);
       Hashtbl.reset (node_instances t node);
       Oplog.drop_node t.o_log node)
 

@@ -5,6 +5,7 @@ type t = { mutable enabled : bool; mutable entries : entry list (* newest first 
 let create ?(enabled = true) () = { enabled; entries = [] }
 
 let set_enabled t flag = t.enabled <- flag
+let enabled t = t.enabled
 
 let record t ~now ~tag detail =
   if t.enabled then t.entries <- { at = now; tag; detail } :: t.entries

@@ -21,13 +21,18 @@ val set_enabled : t -> bool -> unit
 (** Toggle recording. Disabled traces drop entries with no allocation
     beyond the call itself. *)
 
+val enabled : t -> bool
+(** Whether the trace records. *)
+
 val record : t -> now:float -> tag:string -> string -> unit
 (** [record t ~now ~tag detail] appends one entry. *)
 
 val recordf :
   t -> now:float -> tag:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Formatted variant of {!record}. The format arguments are not evaluated
-    when the trace is disabled. *)
+(** Formatted variant of {!record}. A disabled trace records nothing and
+    formats nothing, but the caller has already evaluated the arguments,
+    and the format still builds a closure per argument; a site on a
+    per-action path tests {!enabled} first. *)
 
 val entries : t -> entry list
 (** All entries in chronological (append) order. *)

@@ -60,6 +60,32 @@ let test_crash_hooks_fire () =
   check_int "crash hook" 1 !crashed;
   check_int "recover hook" 1 !recovered
 
+let test_watch_ring () =
+  let eng, net, _ = make_world () in
+  Network.add_node net "b";
+  let fired = ref [] in
+  let watch tag = Network.watch_crash net "b" (fun () -> fired := tag :: !fired) in
+  let w1 = watch 1 in
+  let w2 = watch 2 in
+  let _w3 = watch 3 in
+  check_int "three held" 3 (Network.watch_count net "b");
+  Network.unwatch w2;
+  Network.unwatch w2;
+  check_int "middle withdrawn, twice harmlessly" 2 (Network.watch_count net "b");
+  Network.crash net "b";
+  check_int "crash empties the ring" 0 (Network.watch_count net "b");
+  Network.unwatch w1;
+  Engine.run eng;
+  Alcotest.(check (list int)) "newest first, withdrawn never" [ 3; 1 ]
+    (List.rev !fired);
+  (* A watch on a node already down fires once and holds no cell. *)
+  let w4 = watch 4 in
+  check_int "down node holds nothing" 0 (Network.watch_count net "b");
+  Network.unwatch w4;
+  Engine.run eng;
+  Alcotest.(check (list int)) "down-node watch fired" [ 3; 1; 4 ]
+    (List.rev !fired)
+
 let test_crash_kills_node_fibers () =
   let eng, net, _ = make_world () in
   Network.add_node net "a";
@@ -211,22 +237,35 @@ let test_rpc_nested_call_in_handler () =
   Engine.run eng;
   check_string "chained" "HI!" !got
 
+(* The reply to a caller that crashed after sending runs nowhere: the
+   delivery is dropped at the dead node, no fiber is left behind, and a
+   recovered incarnation never sees the old call resume. *)
 let test_rpc_caller_crash_drops_reply () =
-  let eng, net, rpc = make_world () in
-  Network.add_node net "client";
-  Network.add_node net "server";
-  let handled = ref false and resumed = ref false in
-  Rpc.serve rpc ~node:"server" echo (fun s ->
-      handled := true;
-      Engine.sleep eng 5.0;
-      s);
-  Network.spawn_on net "client" (fun () ->
-      ignore (Rpc.call rpc ~from:"client" ~dst:"server" echo "hi");
-      resumed := true);
-  Engine.schedule eng ~delay:3.0 (fun () -> Network.crash net "client");
-  Engine.run eng;
-  check_bool "server handled" true !handled;
-  check_bool "caller never resumed" false !resumed
+  let run ~recover =
+    let eng, net, rpc = make_world () in
+    Network.add_node net "client";
+    Network.add_node net "server";
+    let handled = ref false and resumed = ref false in
+    Rpc.serve rpc ~node:"server" echo (fun s ->
+        handled := true;
+        Engine.sleep eng 5.0;
+        s);
+    Network.spawn_on net "client" (fun () ->
+        ignore (Rpc.call rpc ~from:"client" ~dst:"server" echo "hi");
+        resumed := true);
+    Engine.schedule eng ~delay:3.0 (fun () -> Network.crash net "client");
+    if recover then
+      Engine.schedule eng ~delay:4.0 (fun () -> Network.recover net "client");
+    Engine.run eng;
+    check_bool "server handled" true !handled;
+    check_bool "caller never resumed" false !resumed;
+    Alcotest.(check (list string)) "no fiber left" [] (Engine.leaked_fibers eng);
+    Metrics.counter (Network.metrics net) "net.dropped"
+  in
+  check_int "reply dropped at the dead caller" 1 (run ~recover:false);
+  (* Delivered to the new incarnation: the completion withdraws the
+     call's crash watch and its resumption of the dead fiber is void. *)
+  check_int "reply delivered to the recovered node" 0 (run ~recover:true)
 
 let test_notify_one_way () =
   let eng, net, rpc = make_world () in
@@ -384,6 +423,7 @@ let suite =
         tc "crash recover incarnation" `Quick test_crash_recover_incarnation;
         tc "hooks fire" `Quick test_crash_hooks_fire;
         tc "crash kills fibers" `Quick test_crash_kills_node_fibers;
+        tc "crash watch ring" `Quick test_watch_ring;
         tc "message to down node dropped" `Quick test_message_to_down_node_dropped;
         tc "partition blocks" `Quick test_partition_blocks_delivery;
         tc "fifo order" `Quick test_fifo_preserves_order;

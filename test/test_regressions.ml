@@ -296,6 +296,43 @@ let test_split_undo_no_resurrection () =
     (Gvd.current_st gvd uid);
   check_bool "B's counters rolled back too" true (Gvd.quiescent gvd uid)
 
+(* Defect: every store prepare placed a crash watch on the action's
+   coordinator and nothing withdrew it once the intent resolved, so a
+   client node's watch ring grew by one per prepare for the life of the
+   world (hundreds per client after one benchmark episode). Watches on
+   the coordinator must go when the intents they guard resolve. *)
+let test_no_crash_watches_after_commits () =
+  let w = Service.create ~seed:3L topo in
+  let uid =
+    Service.create_object w ~name:"ctr" ~impl:"counter" ~sv:[ "alpha" ]
+      ~st:[ "beta1"; "beta2" ] ()
+  in
+  let n = 12 in
+  let commits = ref 0 in
+  Service.spawn_client w "c1" (fun () ->
+      for _ = 1 to n do
+        match
+          Service.with_bound w ~client:"c1" ~scheme:Scheme.Independent
+            ~policy:Replica.Policy.Single_copy_passive ~uid
+            (fun act group -> ignore (Service.invoke w group ~act "add 1"))
+        with
+        | Ok () -> incr commits
+        | Error _ -> ()
+      done);
+  Service.run w;
+  check_int "every action committed" n !commits;
+  let net = Service.network w in
+  let m = Net.Network.metrics net in
+  check_bool "prepares reached the stores" true
+    (Sim.Metrics.counter m "rpc.op.store.prepare_batch"
+     + Sim.Metrics.counter m "rpc.op.store.prepare"
+    >= n);
+  List.iter
+    (fun node ->
+      check_int (node ^ " holds no crash watch") 0
+        (Net.Network.watch_count net node))
+    (Net.Network.node_ids net)
+
 (* Defect: a commit's cost grew with the number of objects that exist:
    every batched phase-2 ack listed the committed counter of every object
    on the store, and the batch leader folded the whole listing. The same
@@ -372,21 +409,42 @@ let check_words name ~bound per =
   if per > bound then
     Alcotest.failf "%s: %.1f minor words per call > %.0f" name per bound
 
-let test_rpc_roundtrip_words () =
+(* Minor words per echo round trip when [callers] fibers on one node call
+   one server concurrently, [rounds] calls each, after a warm-up call. *)
+let rpc_words_per_round_trip ~callers ~rounds =
   let eng = Sim.Engine.create () in
   let net = Net.Network.create eng in
   List.iter (Net.Network.add_node net) [ "client"; "server" ];
   let rpc = Net.Rpc.create net in
   let echo : (string, string) Net.Rpc.endpoint = Net.Rpc.endpoint "pin.echo" in
   Net.Rpc.serve rpc ~node:"server" echo (fun s -> s);
-  let n = 200 in
-  let per = ref nan in
   let call () = ignore (Net.Rpc.call rpc ~from:"client" ~dst:"server" echo "hi") in
-  Net.Network.spawn_on net "client" (fun () ->
-      call ();
-      per := words_per n (fun () -> for _ = 1 to n do call () done));
+  Net.Network.spawn_on net "client" call;
   Sim.Engine.run eng;
-  check_words "Rpc.call echo round trip" ~bound:320.0 !per
+  for _ = 1 to callers do
+    Net.Network.spawn_on net "client" (fun () ->
+        for _ = 1 to rounds do
+          call ()
+        done)
+  done;
+  words_per (callers * rounds) (fun () -> Sim.Engine.run eng)
+
+let test_rpc_roundtrip_words () =
+  check_words "Rpc.call echo round trip" ~bound:240.0
+    (rpc_words_per_round_trip ~callers:1 ~rounds:200)
+
+(* Defect: withdrawing a finished call's crash watch copied the part of
+   the callee's watch list in front of it, so one round trip cost more
+   the more calls to the same node were in flight (about 5x at 400
+   concurrent callers). Watches now sit on an intrusive ring. *)
+let test_rpc_cost_independent_of_concurrency () =
+  let one = rpc_words_per_round_trip ~callers:1 ~rounds:400 in
+  let many = rpc_words_per_round_trip ~callers:400 ~rounds:10 in
+  if many > 1.1 *. one then
+    Alcotest.failf
+      "minor words per round trip: %.0f with 400 concurrent callers vs %.0f \
+       with one (%.2fx > 1.1x)"
+      many one (many /. one)
 
 let test_spawn_words () =
   let eng = Sim.Engine.create () in
@@ -453,7 +511,11 @@ let suite =
           test_split_undo_no_resurrection;
         tc "pin: commit cost independent of world size" `Quick
           test_commit_cost_independent_of_world;
+        tc "no crash watches left after commits" `Quick
+          test_no_crash_watches_after_commits;
         tc "pin: rpc round trip allocation" `Quick test_rpc_roundtrip_words;
+        tc "pin: rpc round trip cost independent of concurrency" `Quick
+          test_rpc_cost_independent_of_concurrency;
         tc "pin: spawn allocation" `Quick test_spawn_words;
         tc "pin: health note_ok allocation" `Quick test_health_note_ok_words;
         tc "pin: metrics incr allocates nothing" `Quick test_metrics_incr_words;

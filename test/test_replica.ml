@@ -474,6 +474,37 @@ let test_cc_failover_continues_action () =
     (Sim.Metrics.counter (Net.Network.metrics w.net) "server.promotions");
   Alcotest.(check (option string)) "store final" (Some "42") (store_payload w "beta" uid)
 
+(* A cohort's promotion watch on its coordinator lives only as long as
+   the cohort instance: passivating the group withdraws it. *)
+let test_cc_passivation_withdraws_promotion_watch () =
+  let w = make_world ~servers:[ "k1"; "k2" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
+  let uid = new_object w ~label:"acct" ~payload:"0" ~stores:[ "beta" ] in
+  let held = ref (-1) in
+  Net.Network.spawn_on w.net "c" (fun () ->
+      let g = ref None in
+      ignore
+        (Action.Atomic.atomically w.art ~node:"c" (fun act ->
+             match
+               Group.activate w.grt ~client:"c" ~uid ~impl:"account"
+                 ~policy:(Policy.Coordinator_cohort 2) ~servers:[ "k1"; "k2" ]
+                 ~stores:[ "beta" ]
+             with
+             | Error e -> raise (Action.Atomic.Abort e)
+             | Ok grp ->
+                 g := Some grp;
+                 Commit.attach w.grt act grp ~exclude:(fun _ _ -> Ok ()) ();
+                 ignore (Group.invoke w.grt grp ~act "deposit 30")));
+      held := Net.Network.watch_count w.net "k1";
+      match !g with
+      | Some grp -> Group.passivate w.grt grp ~from:"c"
+      | None -> Alcotest.fail "no group");
+  Sim.Engine.run w.eng;
+  check_int "the cohort watched its coordinator" 1 !held;
+  check_bool "cohort passivated" false
+    (Server.instance_exists w.srv ~node:"k2" ~uid);
+  check_int "passivation withdrew the watch" 0
+    (Net.Network.watch_count w.net "k1")
+
 (* ------------------------------------------------------------------ *)
 (* Passivation *)
 
@@ -560,6 +591,8 @@ let suite =
       [
         tc "normal operation checkpoints" `Quick test_cc_normal_operation_checkpoints;
         tc "failover continues action" `Quick test_cc_failover_continues_action;
+        tc "passivation withdraws promotion watch" `Quick
+          test_cc_passivation_withdraws_promotion_watch;
       ] );
     ( "replica.passivation",
       [
