@@ -52,6 +52,8 @@ type t = {
   mutable st : status;
   mutable enlisted : (Net.Network.node_id * string * bool ref) list;
       (* node, resource, required: must a phase-1 failure abort? *)
+  mutable must_hold : string list;
+      (* resources some enlisted copy of which must vote yes at phase 1 *)
   mutable participants : participant list; (* newest first *)
   mutable pre_hooks : (unit -> (unit, string) result) list; (* newest first *)
   mutable undo_hooks : (unit -> unit) list; (* newest first *)
@@ -65,6 +67,8 @@ let node t = t.coord
 let status t = t.st
 let runtime_of t = t.rt
 let owner t = Action_id.to_string t.aid
+
+let rec top t = match t.parent with None -> t | Some p -> top p
 
 let metrics t = Net.Network.metrics (network t.rt)
 
@@ -127,6 +131,7 @@ let begin_top ?deadline rt ~node =
     kids = 0;
     st = Running;
     enlisted = [];
+    must_hold = [];
     participants = [];
     pre_hooks = [];
     undo_hooks = [];
@@ -148,6 +153,7 @@ let begin_nested parent =
     kids = 0;
     st = Running;
     enlisted = [];
+    must_hold = [];
     participants = [];
     pre_hooks = [];
     undo_hooks = [];
@@ -173,6 +179,11 @@ let enlist t ?(required = true) ~node ~resource () =
   with
   | Some (_, _, req) -> if required then req := true
   | None -> t.enlisted <- (node, resource, ref required) :: t.enlisted
+
+let require_held t ~resource =
+  let t = top t in
+  if not (List.mem resource t.must_hold) then
+    t.must_hold <- resource :: t.must_hold
 
 let add_participant t ~name ~prepare ~commit ~abort =
   if t.st <> Running then invalid_arg "add_participant: action not running";
@@ -333,34 +344,66 @@ let commit_top t =
       let vote_fail =
         match participant_fail with
         | Some _ -> participant_fail
-        | None ->
-            Sim.Join.all eng
-              (List.map
-                 (fun (rnode, resource, required) () ->
-                   match
-                     Resource_host.prepare t.rt.rh ~from:t.coord ~node:rnode
-                       ~resource ~action
-                   with
-                   | Ok true -> None
-                   | Ok false ->
-                       Some
-                         (Printf.sprintf "resource %s@%s voted no" resource
-                            rnode)
-                   | Error e ->
-                       (* A crashed replica of a group is masked (its
-                          volatile state is gone anyway); a required
-                          resource aborts. *)
-                       if !required then
-                         Some
-                           (Printf.sprintf "resource %s@%s unreachable: %s"
-                              resource rnode (Net.Rpc.error_to_string e))
-                       else begin
-                         tracef t "%s: tolerating lost replica %s@%s (%s)"
-                           action resource rnode (Net.Rpc.error_to_string e);
-                         None
-                       end)
-                 resources)
-            |> List.find_map Fun.id
+        | None -> (
+            let votes =
+              Sim.Join.all eng
+                (List.map
+                   (fun (rnode, resource, required) () ->
+                     match
+                       Resource_host.prepare t.rt.rh ~from:t.coord ~node:rnode
+                         ~resource ~action
+                     with
+                     | Ok Resource_host.Yes -> Ok true
+                     | Ok Resource_host.No ->
+                         Error
+                           (Printf.sprintf "resource %s@%s voted no" resource
+                              rnode)
+                     | Ok Resource_host.Lost ->
+                         (* The copy can neither commit nor veto: whether
+                            the action still stands rests with the copies
+                            and participants that hold its state. *)
+                         tracef t "%s: %s@%s lost the action's state" action
+                           resource rnode;
+                         Ok false
+                     | Error e ->
+                         (* A crashed replica of a group is masked (its
+                            volatile state is gone anyway); a required
+                            resource aborts. *)
+                         if !required then
+                           Error
+                             (Printf.sprintf "resource %s@%s unreachable: %s"
+                                resource rnode (Net.Rpc.error_to_string e))
+                         else begin
+                           tracef t "%s: tolerating lost replica %s@%s (%s)"
+                             action resource rnode (Net.Rpc.error_to_string e);
+                           Ok false
+                         end)
+                   resources)
+            in
+            match
+              List.find_map
+                (function Error reason -> Some reason | Ok _ -> None)
+                votes
+            with
+            | Some reason -> Some reason
+            | None ->
+                (* Masking covers each copy, not all of them: with no
+                   copy of a must-hold resource voting yes, the locks
+                   the action relied on are gone. *)
+                List.find_map
+                  (fun r ->
+                    let copy (_, resource, _) = String.equal resource r in
+                    if
+                      (not (List.exists copy resources))
+                      || List.exists2
+                           (fun c v -> copy c && v = Ok true)
+                           resources votes
+                    then None
+                    else
+                      Some
+                        (Printf.sprintf
+                           "resource %s: no copy holds the action's state" r))
+                  (List.rev t.must_hold))
       in
       match vote_fail with
       | Some reason ->

@@ -71,6 +71,11 @@ val runtime_of : t -> runtime
 val owner : t -> string
 (** Lock-owner key: [Action_id.to_string (id t)]. *)
 
+val top : t -> t
+(** The top-level action whose commit decides [t]'s fate: [t] itself for
+    a top-level or nested top-level action, else its outermost enclosing
+    action. *)
+
 val enlist :
   t -> ?required:bool -> node:Net.Network.node_id -> resource:string -> unit -> unit
 (** Record that handlers on [node]/[resource] hold locks or staged updates
@@ -78,7 +83,17 @@ val enlist :
     reach the resource automatically. [required] (default [true]) controls
     phase-1 failure handling: a required resource that is unreachable
     aborts the action, while a non-required one — a member of a replica
-    group whose crash the policy masks — is tolerated. *)
+    group whose crash the policy masks — is tolerated. A resource that
+    votes {!Resource_host.Lost} is tolerated either way: it holds nothing
+    of the action to commit or to veto. *)
+
+val require_held : t -> resource:string -> unit
+(** At phase 1, abort unless some enlisted copy of [resource] (on any
+    node) votes yes: the action relies on locks there that no other
+    check confirms survived — a read-only commit that asked no replica
+    for its state. A resource with no enlisted copy holds nothing of the
+    action and is not checked. The check belongs to [top t], whose
+    commit runs phase 1. *)
 
 val add_participant :
   t ->

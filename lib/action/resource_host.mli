@@ -6,7 +6,7 @@
     updates keyed by action id; this module transports the action-end
     protocol to them:
 
-    - [prepare]: vote on commit (phase 1);
+    - [prepare]: vote on commit (phase 1): yes, no, or state lost;
     - [commit]: make staged updates permanent and release the action's
       locks (phase 2);
     - [abort]: undo staged updates and release locks;
@@ -17,8 +17,16 @@
     The client-side {!Atomic} module calls these automatically for every
     resource an action {e enlists}. *)
 
+(** A phase-1 vote. [Lost] says the resource no longer holds the
+    action's locks or staged updates — the state it held died with a
+    crash or a passivation, or never arrived — so it can neither commit
+    nor veto the action: the coordinator tolerates it, unless the action
+    relies on that resource's locks ({!Atomic.require_held}) and no other
+    copy votes yes. *)
+type vote = Yes | No | Lost
+
 type manager = {
-  m_prepare : action:string -> bool;
+  m_prepare : action:string -> vote;
   m_commit : action:string -> unit;
   m_abort : action:string -> unit;
   m_transfer : action:string -> parent:string -> unit;
@@ -39,7 +47,7 @@ val registered : t -> node:Net.Network.node_id -> resource:string -> bool
 
 val prepare :
   t -> from:Net.Network.node_id -> node:Net.Network.node_id -> resource:string ->
-  action:string -> (bool, Net.Rpc.error) result
+  action:string -> (vote, Net.Rpc.error) result
 
 val commit :
   t -> from:Net.Network.node_id -> node:Net.Network.node_id -> resource:string ->

@@ -1189,7 +1189,9 @@ let manager t =
         (* Under the always-available assumption every action is known;
            with a durable (crashable) service, an action from before the
            last crash lost its locks and staged updates and must abort. *)
-        (not t.durable) || Hashtbl.mem t.known_actions action);
+        if (not t.durable) || Hashtbl.mem t.known_actions action then
+          Action.Resource_host.Yes
+        else Action.Resource_host.No);
     m_commit =
       (fun ~action ->
         let images = actions_images t action in

@@ -11,22 +11,61 @@ let attach rt act group ?current_stores ?note_version ?snapshot_stores
     | Some f -> f
     | None -> fun _ -> Ok group.Group.g_stores
   in
+  let optimistic =
+    match (snapshot_stores, validate) with
+    | Some snapshot, Some validate -> Some (snapshot, validate)
+    | _ -> None
+  in
+  let read_optimised () =
+    (* Read optimisation: no state change, no copy, no exclusion. *)
+    Sim.Metrics.incr metrics "commit.read_optimised";
+    Ok ()
+  in
   Action.Atomic.before_commit act (fun () ->
+      if not (Group.wrote rt group ~act) then begin
+        (* The lineage never attempted a write here, so no replica holds
+           a staged one: settle without asking the replicas, and without
+           holding a group-commit batch open for a commit that never
+           prepares. What the commit view also told — that some replica
+           still holds the action's read locks — the replicas' phase-1
+           votes tell instead. *)
+        Action.Atomic.require_held act
+          ~resource:(Server.resource_name group.Group.g_uid);
+        read_optimised ()
+      end
+      else
       (* Group-commit plane (off unless the world set a batch window, in
          which case every entry below is guarded on [batching] so the off
          path stays byte-identical): announce this commit as approaching
          so open batches hold their window for it; the token settles at
          the prepare, or here at any earlier exit (commit-view error,
-         read-optimised commit, an exception unwinding the hook). *)
+         clean view, an exception unwinding the hook). *)
       let batching = Groupcommit.enabled gc in
       let tok = if batching then Some (Groupcommit.enter gc) else None in
       let body () =
-      match Group.commit_view rt group ~act with
+      (* The optimistic path reads its lock-free (St, revision) snapshot
+         in the same round as the commit view: validation re-checks the
+         revision inside the prepare round anyway, so the snapshot need
+         not wait for the view. *)
+      let view, prefetched =
+        match optimistic with
+        | None -> (Group.commit_view rt group ~act, None)
+        | Some (snapshot, _) ->
+            let view = ref (Error "") and snap = ref (Error "") in
+            ignore
+              (Sim.Join.all eng
+                 [
+                   (fun () -> view := Group.commit_view rt group ~act);
+                   (fun () -> snap := snapshot ());
+                 ]);
+            (!view, Some !snap)
+      in
+      match view with
       | Error why -> Error ("commit view: " ^ why)
       | Ok view when not view.Server.cv_dirty ->
-          (* Read optimisation: no state change, no copy, no exclusion. *)
-          Sim.Metrics.incr metrics "commit.read_optimised";
-          Ok ()
+          (* A write was attempted but nothing is staged (refused or
+             never delivered). *)
+          read_optimised ()
       | Ok view ->
           let client = Action.Atomic.node act in
           let action = Action.Atomic.owner act in
@@ -379,11 +418,11 @@ let attach rt act group ?current_stores ?note_version ?snapshot_stores
              no longer move and the retry converges. Bounded attempts,
              then the classic locked path so churn cannot starve a
              commit. *)
-          match (snapshot_stores, validate) with
-          | Some snapshot, Some validate ->
+          match (optimistic, prefetched) with
+          | Some (snapshot, validate), Some first ->
               let max_attempts = 3 in
-              let rec go attempt =
-                match snapshot () with
+              let rec go attempt snap =
+                match snap with
                 | Error _ ->
                     (* Snapshot read unreachable: the locked path talks to
                        the same shard and will surface the real error. *)
@@ -406,7 +445,8 @@ let attach rt act group ?current_stores ?note_version ?snapshot_stores
                     match run current_st ~seal with
                     | `Done r -> r
                     | `Conflict ->
-                        if attempt + 1 < max_attempts then go (attempt + 1)
+                        if attempt + 1 < max_attempts then
+                          go (attempt + 1) (snapshot ())
                         else begin
                           (* Churn outran the retries: starve-proof
                              fallback to the locked re-read. *)
@@ -414,7 +454,7 @@ let attach rt act group ?current_stores ?note_version ?snapshot_stores
                           classic ()
                         end)
               in
-              go 0
+              go 0 first
           | _ -> classic ()
       in
       match tok with

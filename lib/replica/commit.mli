@@ -7,9 +7,16 @@
 
     [attach] installs this as a before-commit hook of the action:
 
+    + {e read optimisation}: if no action of the lineage (the top-level
+      action and its nested descendants) attempted a write invocation on
+      the object ({!Group.wrote}), settle at once — no commit view, no
+      copy, and no group-commit batch held open. The action's read
+      locks are checked at phase 1 instead: it aborts unless some
+      replica still votes that it holds them
+      ({!Action.Atomic.require_held});
     + fetch the commit view from a functioning replica (abort if none);
-    + {e read optimisation}: if the action never modified the object, skip
-      the copy entirely;
+      on the optimistic path the [St] snapshot is read in the same round.
+      A clean view (the attempted write was refused) skips the copy;
     + prepare the new state on every node of the group's [StA] view —
       when the server runtime has delta shipping enabled
       ({!Server.set_delta_shipping}), each store is shipped the op-log
@@ -62,7 +69,7 @@ val attach :
     [snapshot_stores] and [validate] (both must be given) switch the
     commit to the {e optimistic} path: [St] and its membership revision
     come from a lock-free snapshot read ({!Naming.Gvd.get_view_commit})
-    taken when commit processing starts, and [validate] re-checks the
+    issued concurrently with the commit view, and [validate] re-checks the
     revision inside the prepare round ({!Naming.Gvd.validate_view}),
     taking over [note_version]'s job on success. [`Conflict] — an
     Include/Exclude committed between snapshot and validation — withdraws

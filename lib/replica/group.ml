@@ -21,6 +21,24 @@ type pending = {
   mutable p_expected : int;
 }
 
+(* What one top-level action's lineage — the action and its nested
+   descendants — did to one object. *)
+type touch = {
+  t_obj : int; (* object serial *)
+  mutable t_wrote : bool;
+      (* a write invocation was attempted: marked before the request goes
+         out, so a write whose reply was lost still counts *)
+  mutable t_acked : (string * int) list;
+      (* highest answered invocation serial per action of the lineage:
+         sent with every request so a promoted coordinator can detect
+         lost staging *)
+}
+
+type lineage = {
+  l_node : Net.Network.node_id; (* the top-level action's coordinator *)
+  mutable l_touches : touch list;
+}
+
 type runtime = {
   srv : Server.runtime;
   sequencer : Net.Network.node_id;
@@ -28,9 +46,12 @@ type runtime = {
   mutable next_serial : int;
   pending : (int, pending) Hashtbl.t;
   reply_nodes : (Net.Network.node_id, unit) Hashtbl.t;
-  (* Highest answered invocation serial per (action, object): sent with
-     every request so a promoted coordinator can detect lost staging. *)
-  acked : (string * int, int) Hashtbl.t;
+  (* Per running top-level action: the objects its lineage invoked. The
+     entry is dropped when that action commits or aborts, or when its
+     coordinator crashes, so the table holds live work only. *)
+  lineages : (string, lineage) Hashtbl.t;
+  (* Coordinators whose crash drops their lineages: hooked once each. *)
+  lineage_nodes : (Net.Network.node_id, unit) Hashtbl.t;
   mc_timeout : float;
 }
 
@@ -43,7 +64,8 @@ let create srv ~sequencer =
     next_serial = 0;
     pending = Hashtbl.create 32;
     reply_nodes = Hashtbl.create 8;
-    acked = Hashtbl.create 64;
+    lineages = Hashtbl.create 64;
+    lineage_nodes = Hashtbl.create 8;
     mc_timeout = 30.0;
   }
 
@@ -53,6 +75,14 @@ let art rt = Server.atomic_runtime rt.srv
 let net rt = Action.Atomic.network (art rt)
 let eng rt = Action.Atomic.engine (art rt)
 let metrics rt = Net.Network.metrics (net rt)
+
+(* A crashed coordinator forgets its running actions (presumed abort):
+   their end hooks never run, so their records go with the node. *)
+let drop_lineages_of rt node =
+  Hashtbl.fold
+    (fun key l acc -> if String.equal l.l_node node then key :: acc else acc)
+    rt.lineages []
+  |> List.iter (Hashtbl.remove rt.lineages)
 
 (* The client node must serve the multicast reply endpoint once. *)
 let ensure_reply_service rt client =
@@ -82,14 +112,60 @@ let fresh_serial rt =
   rt.next_serial <- rt.next_serial + 1;
   rt.next_serial
 
-let acked_key act g = (Action.Atomic.owner act, Store.Uid.serial g.g_uid)
+let lineage_key act = Action.Atomic.owner (Action.Atomic.top act)
+
+let find_touch rt ~act g =
+  match Hashtbl.find_opt rt.lineages (lineage_key act) with
+  | None -> None
+  | Some l ->
+      let obj = Store.Uid.serial g.g_uid in
+      List.find_opt (fun tc -> tc.t_obj = obj) l.l_touches
+
+(* The lineage's record for [g]'s object, created on first use. Only a
+   running lineage is kept: its end hooks drop the entry, while a record
+   made for an action that already ended (a straggling fiber) is never
+   stored. *)
+let touch rt ~act g =
+  match find_touch rt ~act g with
+  | Some tc -> tc
+  | None ->
+      let tc = { t_obj = Store.Uid.serial g.g_uid; t_wrote = false; t_acked = [] } in
+      let top = Action.Atomic.top act in
+      if Action.Atomic.status top = Action.Atomic.Running then begin
+        let key = Action.Atomic.owner top in
+        match Hashtbl.find_opt rt.lineages key with
+        | Some l -> l.l_touches <- tc :: l.l_touches
+        | None ->
+            let node = Action.Atomic.node top in
+            if not (Hashtbl.mem rt.lineage_nodes node) then begin
+              Hashtbl.add rt.lineage_nodes node ();
+              Net.Network.on_crash (net rt) node (fun () ->
+                  drop_lineages_of rt node)
+            end;
+            Hashtbl.add rt.lineages key { l_node = node; l_touches = [ tc ] };
+            let drop () = Hashtbl.remove rt.lineages key in
+            Action.Atomic.after_commit top drop;
+            Action.Atomic.after_abort top drop
+      end;
+      tc
 
 let last_acked rt ~act g =
-  match Hashtbl.find_opt rt.acked (acked_key act g) with
-  | Some s -> s
+  match find_touch rt ~act g with
   | None -> 0
+  | Some tc -> (
+      match List.assoc_opt (Action.Atomic.owner act) tc.t_acked with
+      | Some s -> s
+      | None -> 0)
 
-let record_acked rt ~act g serial = Hashtbl.replace rt.acked (acked_key act g) serial
+let record_acked rt ~act g serial =
+  let tc = touch rt ~act g in
+  let owner = Action.Atomic.owner act in
+  tc.t_acked <- (owner, serial) :: List.remove_assoc owner tc.t_acked
+
+let wrote rt g ~act =
+  match find_touch rt ~act g with Some tc -> tc.t_wrote | None -> false
+
+let lineage_count rt = Hashtbl.length rt.lineages
 
 (* Hedged first-answer race over the members, healthiest first: task [i]
    launches [i] hedge delays after the first, so a healthy head answers
@@ -336,6 +412,11 @@ let mc_invoke rt g ~act ~write ~serial ~op =
 
 let invoke rt g ~act ?(write = true) op =
   Sim.Metrics.incr (metrics rt) "group.invocations";
+  (* Mark the write before any request goes out, as enlistment does: the
+     server may stage it even if no reply ever comes back, and commit
+     processing skips the copy-back of an object the lineage never
+     wrote. *)
+  if write then (touch rt ~act g).t_wrote <- true;
   let attempt () =
     (* A fresh serial per attempt: a [Locked] refusal never executed the
        op, so the retry is a brand-new invocation to the dedup table. *)

@@ -71,6 +71,21 @@ val invoke :
 (** [invoke rt g ~act op] executes [op] (default [write:true]) in the
     context of [act] and returns the object's reply. *)
 
+val wrote : runtime -> t -> act:Action.Atomic.t -> bool
+(** Whether any action of [act]'s top-level lineage ([act]'s outermost
+    enclosing action and all its nested descendants) attempted a write
+    invocation on the group's object. [false] means no replica can hold
+    a staged write of the lineage, so commit processing has nothing to
+    copy back. The mark is set before the request goes out and kept
+    until the top-level action ends. *)
+
+val lineage_count : runtime -> int
+(** The number of top-level actions the runtime keeps invocation records
+    for (write marks and answered serials). Each record is dropped when
+    its action commits or aborts, or when the node coordinating it
+    crashes; tests use this to check that the table holds live work
+    only. *)
+
 val commit_view :
   runtime ->
   t ->

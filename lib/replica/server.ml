@@ -139,7 +139,6 @@ type runtime = {
   ep_checkpoint : (checkpoint_msg, unit) Net.Rpc.endpoint;
   ep_reply : (mc_reply, unit) Net.Rpc.endpoint;
   ch_invoke : mc_invoke Net.Multicast.channel;
-  lock_timeout : float;
   mutable eager_checkpoints : bool;
   o_log : Oplog.t;
   mutable delta_shipping : bool;
@@ -159,6 +158,11 @@ type runtime = {
 
 let resource_name uid = "obj:" ^ Store.Uid.to_string uid
 
+(* How long an invocation waits for the instance lock before it is
+   refused with [Locked]; the client then backs off and re-queues
+   ({!Group.invoke}). *)
+let lock_timeout = 30.0
+
 let create art impls =
   let o_log = Oplog.create (Net.Network.metrics (Action.Atomic.network art)) in
   {
@@ -176,7 +180,6 @@ let create art impls =
     ep_checkpoint = Net.Rpc.endpoint "server.checkpoint";
     ep_reply = Net.Rpc.endpoint "server.mc_reply";
     ch_invoke = Net.Multicast.channel "server.invoke.mc";
-    lock_timeout = 30.0;
     eager_checkpoints = true;
     o_log;
     delta_shipping = false;
@@ -316,7 +319,26 @@ let checkpoint_to_cohorts t inst =
              Sim.Metrics.incr (metrics t) "server.checkpoint_failures")
   end
 
-(* The resource manager wiring an instance into action completion. *)
+let instance_live t inst =
+  match find_instance t inst.i_node inst.i_uid with
+  | Some cur -> cur == inst
+  | None -> false
+
+let instance_holds inst action =
+  Lockmgr.Manager.holds inst.i_locks ~owner:action "state" <> None
+  || Hashtbl.mem inst.i_staged action
+  || List.mem_assoc action inst.i_ckpt_holders
+
+(* The resource manager wiring an instance into action completion. The
+   registration outlives the instance — a crash or a passivation destroys
+   it, and only the next activation on the node replaces the manager — so
+   the manager answers only while [inst] is its object's live instance
+   on the node. A destroyed instance's locks and staged updates are gone:
+   it votes [Lost] and completes nothing. A live instance votes [Lost]
+   for an action it holds nothing for, such as one whose state a
+   recovered node never re-acquired. The coordinator masks that copy,
+   but a read-only commit aborts when no copy of the group votes yes
+   ({!Action.Atomic.require_held}). *)
 let make_manager t inst =
   let release action =
     Lockmgr.Manager.release_all inst.i_locks ~owner:action;
@@ -327,89 +349,99 @@ let make_manager t inst =
       List.filter (fun (o, _) -> not (String.equal o action)) inst.i_ckpt_holders
   in
   {
-    Action.Resource_host.m_prepare = (fun ~action:_ -> true);
+    Action.Resource_host.m_prepare =
+      (fun ~action ->
+        if instance_live t inst && instance_holds inst action then
+          Action.Resource_host.Yes
+        else Action.Resource_host.Lost);
     m_commit =
       (fun ~action ->
-        (match Hashtbl.find_opt inst.i_staged action with
-        | Some payload ->
-            inst.i_committed <- payload;
-            inst.i_version <-
-              Store.Version.next inst.i_version ~committed_by:action;
-            Hashtbl.remove inst.i_staged action;
-            (* Append the committed version's op provenance before the
-               locks drop: the next writer's commit view must already see
-               a chain that reaches this version. A write whose ops were
-               not recorded (a checkpoint from a pre-oplog coordinator)
-               leaves a deliberate gap — gaps force full-state fallback,
-               never a wrong delta. *)
-            (if t.delta_shipping then
-               match Hashtbl.find_opt inst.i_staged_ops action with
-               | Some (_ :: _ as ops) ->
-                   Oplog.append t.o_log ~now:(Sim.Engine.now (eng t))
-                     ~node:inst.i_node ~uid:inst.i_uid ~version:inst.i_version
-                     ~ops:(List.rev ops)
-               | Some [] | None -> ());
-            Hashtbl.remove inst.i_staged_ops action;
-            if tracing t then
-              tracef t "%s: %s instance-commit %a := %S %a" inst.i_node action
-                Store.Uid.pp inst.i_uid payload Store.Version.pp inst.i_version
-        | None ->
-            if tracing t then
-              tracef t "%s: %s instance-commit %a: nothing staged" inst.i_node
-                action Store.Uid.pp inst.i_uid);
-        clean_applied inst action;
-        release action;
-        settle_action inst action;
-        (match guard_of t inst.i_node with
-        | Some g ->
-            Action.Orphan_guard.settle g
-              ~scope:(Store.Uid.to_string inst.i_uid) ~action
-        | None -> ());
-        checkpoint_to_cohorts t inst);
+        if instance_live t inst then begin
+          (match Hashtbl.find_opt inst.i_staged action with
+          | Some payload ->
+              inst.i_committed <- payload;
+              inst.i_version <-
+                Store.Version.next inst.i_version ~committed_by:action;
+              Hashtbl.remove inst.i_staged action;
+              (* Append the committed version's op provenance before the
+                 locks drop: the next writer's commit view must already see
+                 a chain that reaches this version. A write whose ops were
+                 not recorded (a checkpoint from a pre-oplog coordinator)
+                 leaves a deliberate gap — gaps force full-state fallback,
+                 never a wrong delta. *)
+              (if t.delta_shipping then
+                 match Hashtbl.find_opt inst.i_staged_ops action with
+                 | Some (_ :: _ as ops) ->
+                     Oplog.append t.o_log ~now:(Sim.Engine.now (eng t))
+                       ~node:inst.i_node ~uid:inst.i_uid ~version:inst.i_version
+                       ~ops:(List.rev ops)
+                 | Some [] | None -> ());
+              Hashtbl.remove inst.i_staged_ops action;
+              if tracing t then
+                tracef t "%s: %s instance-commit %a := %S %a" inst.i_node action
+                  Store.Uid.pp inst.i_uid payload Store.Version.pp inst.i_version
+          | None ->
+              if tracing t then
+                tracef t "%s: %s instance-commit %a: nothing staged" inst.i_node
+                  action Store.Uid.pp inst.i_uid);
+          clean_applied inst action;
+          release action;
+          settle_action inst action;
+          (match guard_of t inst.i_node with
+          | Some g ->
+              Action.Orphan_guard.settle g
+                ~scope:(Store.Uid.to_string inst.i_uid) ~action
+          | None -> ());
+          checkpoint_to_cohorts t inst
+        end);
     m_abort =
       (fun ~action ->
-        Hashtbl.remove inst.i_staged action;
-        Hashtbl.remove inst.i_staged_ops action;
-        clean_applied inst action;
-        release action;
-        settle_action inst action;
-        (match guard_of t inst.i_node with
-        | Some g ->
-            Action.Orphan_guard.settle g
-              ~scope:(Store.Uid.to_string inst.i_uid) ~action
-        | None -> ());
-        checkpoint_to_cohorts t inst);
+        if instance_live t inst then begin
+          Hashtbl.remove inst.i_staged action;
+          Hashtbl.remove inst.i_staged_ops action;
+          clean_applied inst action;
+          release action;
+          settle_action inst action;
+          (match guard_of t inst.i_node with
+          | Some g ->
+              Action.Orphan_guard.settle g
+                ~scope:(Store.Uid.to_string inst.i_uid) ~action
+          | None -> ());
+          checkpoint_to_cohorts t inst
+        end);
     m_transfer =
       (fun ~action ~parent ->
-        (match Hashtbl.find_opt inst.i_staged action with
-        | Some payload ->
-            Hashtbl.replace inst.i_staged parent payload;
-            Hashtbl.remove inst.i_staged action;
-            (* The ops move with the payload they produced: the child's
-               staged state replaces the parent's, so its provenance
-               replaces the parent's too (the child folded over whatever
-               the parent had staged). *)
-            (match Hashtbl.find_opt inst.i_staged_ops action with
-            | Some ops -> Hashtbl.replace inst.i_staged_ops parent ops
-            | None -> Hashtbl.remove inst.i_staged_ops parent);
-            Hashtbl.remove inst.i_staged_ops action
-        | None -> ());
-        Lockmgr.Manager.transfer_all inst.i_locks ~from_owner:action
-          ~to_owner:parent;
-        (* The child is finished as an owner here: a straggler invocation
-           under the child's id would stage state its (gone) completion
-           can never move to the parent. *)
-        settle_action inst action;
-        inst.i_ckpt_holders <-
-          List.map
-            (fun (o, m) -> if String.equal o action then (parent, m) else (o, m))
-            inst.i_ckpt_holders;
-        (match guard_of t inst.i_node with
-        | Some g ->
-            Action.Orphan_guard.transfer g
-              ~scope:(Store.Uid.to_string inst.i_uid) ~action ~parent
-        | None -> ());
-        checkpoint_to_cohorts t inst);
+        if instance_live t inst then begin
+          (match Hashtbl.find_opt inst.i_staged action with
+          | Some payload ->
+              Hashtbl.replace inst.i_staged parent payload;
+              Hashtbl.remove inst.i_staged action;
+              (* The ops move with the payload they produced: the child's
+                 staged state replaces the parent's, so its provenance
+                 replaces the parent's too (the child folded over whatever
+                 the parent had staged). *)
+              (match Hashtbl.find_opt inst.i_staged_ops action with
+              | Some ops -> Hashtbl.replace inst.i_staged_ops parent ops
+              | None -> Hashtbl.remove inst.i_staged_ops parent);
+              Hashtbl.remove inst.i_staged_ops action
+          | None -> ());
+          Lockmgr.Manager.transfer_all inst.i_locks ~from_owner:action
+            ~to_owner:parent;
+          (* The child is finished as an owner here: a straggler invocation
+             under the child's id would stage state its (gone) completion
+             can never move to the parent. *)
+          settle_action inst action;
+          inst.i_ckpt_holders <-
+            List.map
+              (fun (o, m) -> if String.equal o action then (parent, m) else (o, m))
+              inst.i_ckpt_holders;
+          (match guard_of t inst.i_node with
+          | Some g ->
+              Action.Orphan_guard.transfer g
+                ~scope:(Store.Uid.to_string inst.i_uid) ~action ~parent
+          | None -> ());
+          checkpoint_to_cohorts t inst
+        end);
   }
 
 let install_instance t node inst =
@@ -520,7 +552,7 @@ let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } 
             let mode = if v_write then Lockmgr.Mode.Write else Lockmgr.Mode.Read in
             match
               Lockmgr.Manager.acquire inst.i_locks ~owner:v_action ~mode
-                ~timeout:t.lock_timeout "state"
+                ~timeout:lock_timeout "state"
             with
             | Error `Timeout ->
                 break_stale_holders t node inst;

@@ -272,7 +272,7 @@ let make_register w node =
   let staged : (string, string) Hashtbl.t = Hashtbl.create 8 in
   let manager =
     {
-      Resource_host.m_prepare = (fun ~action:_ -> true);
+      Resource_host.m_prepare = (fun ~action:_ -> Resource_host.Yes);
       m_commit =
         (fun ~action ->
           (match Hashtbl.find_opt staged action with

@@ -333,6 +333,212 @@ let test_no_crash_watches_after_commits () =
         (Net.Network.watch_count net node))
     (Net.Network.node_ids net)
 
+(* Defect: the client's per-(action, object) record of answered
+   invocation serials gained an entry per answered invocation and nothing
+   ever removed one, so the table grew with history, not with live work.
+   Each top-level action's record (serials and write marks) must go when
+   that action ends, whichever way: committed writes, read-only commits,
+   writes from nested actions, aborts, and a coordinator that crashes
+   mid-action (c2 here), whose action never reaches its end hooks. *)
+let test_no_group_records_after_actions () =
+  let w = Service.create ~seed:4L topo in
+  let uid =
+    Service.create_object w ~name:"ctr" ~impl:"counter" ~sv:[ "alpha" ]
+      ~st:[ "beta1"; "beta2" ] ()
+  in
+  let grt = Service.group_runtime w in
+  let n = 12 in
+  let live = ref 0 and outcomes = ref [] in
+  Service.spawn_client w "c1" (fun () ->
+      for i = 1 to n do
+        let r =
+          Service.with_bound w ~client:"c1" ~scheme:Scheme.Independent
+            ~policy:Replica.Policy.Single_copy_passive ~uid (fun act group ->
+              (match i mod 4 with
+              | 0 -> ignore (Service.invoke w group ~act "add 1")
+              | 1 -> ignore (Service.invoke w group ~act ~write:false "get")
+              | 2 ->
+                  ignore
+                    (Action.Atomic.atomically_nested act (fun nested ->
+                         Service.invoke w group ~act:nested "add 1"))
+              | _ ->
+                  ignore (Service.invoke w group ~act "add 1");
+                  raise (Action.Atomic.Abort "body gives up"));
+              live := max !live (Replica.Group.lineage_count grt))
+        in
+        outcomes := Result.is_ok r :: !outcomes
+      done);
+  Service.spawn_client w "c2" (fun () ->
+      ignore
+        (Service.with_bound w ~client:"c2" ~scheme:Scheme.Independent
+           ~policy:Replica.Policy.Single_copy_passive ~uid (fun act group ->
+             ignore (Service.invoke w group ~act "add 1");
+             Net.Network.crash (Service.network w) "c2")));
+  Service.run w;
+  check_int "three in four actions committed" (n * 3 / 4)
+    (List.length (List.filter Fun.id !outcomes));
+  check_bool "a running action holds a record" true (!live >= 1);
+  check_int "no record outlives its action" 0 (Replica.Group.lineage_count grt)
+
+(* Commit rounds in a fault-free world with one client, default knobs
+   (optimistic commit): a read-only action learns client-side that it
+   wrote nothing and asks neither the replicas for a commit view nor the
+   naming tier for an St snapshot; a write asks each once, both in the
+   same round. The engine is stepped one event at a time to find the
+   instant each request left. *)
+let commit_round_requests ~write =
+  let w = Service.create ~seed:5L topo in
+  let uid =
+    Service.create_object w ~name:"ctr" ~impl:"counter" ~sv:[ "alpha" ]
+      ~st:[ "beta1"; "beta2" ] ()
+  in
+  let eng = Service.engine w in
+  let m = Service.metrics w in
+  let outcome = ref (Error "never ran") in
+  Service.spawn_client w "c1" (fun () ->
+      outcome :=
+        Service.with_bound w ~client:"c1" ~scheme:Scheme.Independent
+          ~policy:Replica.Policy.Single_copy_passive ~uid (fun act group ->
+            Service.invoke w group ~act ~write
+              (if write then "add 1" else "get")));
+  let ops = [ "rpc.op.server.commit_view"; "rpc.op.gvd.get_view_commit" ] in
+  let first_sent = Hashtbl.create 2 in
+  let rec step () =
+    let before = Sim.Engine.processed_events eng in
+    Sim.Engine.run ~max_steps:1 eng;
+    List.iter
+      (fun op ->
+        if Sim.Metrics.counter m op > 0 && not (Hashtbl.mem first_sent op) then
+          Hashtbl.add first_sent op (Sim.Engine.now eng))
+      ops;
+    if Sim.Engine.processed_events eng > before then step ()
+  in
+  step ();
+  check_bool "action committed" true (Result.is_ok !outcome);
+  ( List.map (Sim.Metrics.counter m) ops,
+    List.map (Hashtbl.find_opt first_sent) ops )
+
+let test_read_only_commit_skips_commit_view () =
+  let counts, _ = commit_round_requests ~write:false in
+  Alcotest.(check (list int))
+    "no commit view, no St snapshot" [ 0; 0 ] counts
+
+let test_write_commit_view_and_snapshot_in_one_round () =
+  let counts, sent = commit_round_requests ~write:true in
+  Alcotest.(check (list int)) "one commit view, one St snapshot" [ 1; 1 ] counts;
+  match sent with
+  | [ Some view; Some snap ] ->
+      Alcotest.(check (float 0.0)) "issued at the same instant" view snap
+  | _ -> Alcotest.fail "a request was never sent"
+
+(* A write made in a nested action, under a top-level action that makes
+   no write of its own, is staged under the nested action and passes to
+   the top-level one on nested commit. Commit processing must still copy
+   it to every St store: the write mark belongs to the top-level
+   action's lineage, not to the nested action that made the write. *)
+let test_nested_write_reaches_every_store () =
+  let w = Service.create ~seed:6L topo in
+  let uid =
+    Service.create_object w ~name:"ctr" ~impl:"counter" ~sv:[ "alpha" ]
+      ~st:[ "beta1"; "beta2" ] ()
+  in
+  let outcome = ref (Error "never ran") in
+  Service.spawn_client w "c1" (fun () ->
+      outcome :=
+        Service.with_bound w ~client:"c1" ~scheme:Scheme.Standard
+          ~policy:Replica.Policy.Single_copy_passive ~uid (fun act group ->
+            ignore (Service.invoke w group ~act ~write:false "get");
+            match
+              Action.Atomic.atomically_nested act (fun nested ->
+                  Service.invoke w group ~act:nested "add 5")
+            with
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail e));
+  Service.run w;
+  check_bool "action committed" true (Result.is_ok !outcome);
+  List.iter
+    (fun store ->
+      Alcotest.(check (option string))
+        ("nested write on " ^ store) (Some "5") (store_payload w store uid))
+    [ "beta1"; "beta2" ]
+
+(* Defect: a read-only commit settled without asking the replicas, and
+   phase 1 took every replica's vote as yes: a server instance's manager
+   stayed registered after the instance died and voted yes for any
+   action. So an action whose every replica crashed and recovered after
+   its read — losing its read lock — committed, though a writer could
+   have changed the object in between. A replica that lost the action's
+   state now votes that it lost it; a read-only commit aborts when no
+   replica still holds it, and commits while one does. [recover] lists
+   the replicas that crash and recover after the read; [meddle] runs
+   after recovery, before the commit. *)
+let read_then_lose_replicas ~recover ~meddle =
+  let w =
+    Service.create ~seed:3L
+      {
+        Service.gvd_node = "ns";
+        gvd_nodes = [];
+        server_nodes = [ "a1"; "a2" ];
+        store_nodes = [ "t1" ];
+        client_nodes = [ "c1"; "c2" ];
+      }
+  in
+  let uid =
+    Service.create_object w ~name:"o" ~impl:"counter" ~sv:[ "a1"; "a2" ]
+      ~st:[ "t1" ] ()
+  in
+  let eng = Service.engine w and net = Service.network w in
+  let outcome = ref (Error "never ran") in
+  Service.spawn_client w "c1" (fun () ->
+      outcome :=
+        Service.with_bound w ~client:"c1" ~scheme:Scheme.Standard
+          ~policy:(Replica.Policy.Active 2) ~uid (fun act group ->
+            let v = Service.invoke w group ~act ~write:false "get" in
+            List.iter (Net.Network.crash net) recover;
+            Sim.Engine.sleep eng 2.0;
+            List.iter (Net.Network.recover net) recover;
+            meddle w uid;
+            v));
+  Service.run w;
+  (!outcome, store_payload w "t1" uid)
+
+let no_meddling _ _ = ()
+
+let test_read_only_commit_aborts_when_every_replica_lost_it () =
+  match read_then_lose_replicas ~recover:[ "a1"; "a2" ] ~meddle:no_meddling with
+  | Ok v, _ -> Alcotest.failf "committed after losing every read lock (read %s)" v
+  | Error why, _ ->
+      check_bool "aborted for the lost state" true
+        (String.ends_with ~suffix:"no copy holds the action's state" why)
+
+let test_read_only_commit_survives_one_lost_replica () =
+  match read_then_lose_replicas ~recover:[ "a1" ] ~meddle:no_meddling with
+  | Ok v, _ -> check_string "read the initial value" "0" v
+  | Error why, _ -> Alcotest.failf "one replica still held the lock: %s" why
+
+(* The same loss with a writer in between: after both replicas recover,
+   another client re-activates the object — fresh instances, registered
+   in the dead ones' place — and commits a write. The reader's commit
+   must still abort: the fresh instances never held its lock. *)
+let test_read_only_commit_aborts_after_reactivation () =
+  let meddle w uid =
+    let eng = Service.engine w in
+    let wrote = ref false in
+    Service.spawn_client w "c2" (fun () ->
+        wrote :=
+          Result.is_ok
+            (Service.with_bound w ~client:"c2" ~scheme:Scheme.Standard
+               ~policy:(Replica.Policy.Active 2) ~uid (fun act group ->
+                 ignore (Service.invoke w group ~act "incr"))));
+    while not !wrote do
+      Sim.Engine.sleep eng 1.0
+    done
+  in
+  match read_then_lose_replicas ~recover:[ "a1"; "a2" ] ~meddle with
+  | Ok v, _ -> Alcotest.failf "committed a read of %s over a write" v
+  | Error _, st ->
+      Alcotest.(check (option string)) "the write committed" (Some "1") st
+
 (* Defect: a commit's cost grew with the number of objects that exist:
    every batched phase-2 ack listed the committed counter of every object
    on the store, and the batch leader folded the whole listing. The same
@@ -513,6 +719,20 @@ let suite =
           test_commit_cost_independent_of_world;
         tc "no crash watches left after commits" `Quick
           test_no_crash_watches_after_commits;
+        tc "no group records left after actions" `Quick
+          test_no_group_records_after_actions;
+        tc "pin: read-only commit sends no commit view" `Quick
+          test_read_only_commit_skips_commit_view;
+        tc "pin: write commit fetches view and St in one round" `Quick
+          test_write_commit_view_and_snapshot_in_one_round;
+        tc "nested write reaches every St store" `Quick
+          test_nested_write_reaches_every_store;
+        tc "read-only commit aborts when every replica lost it" `Quick
+          test_read_only_commit_aborts_when_every_replica_lost_it;
+        tc "read-only commit survives one lost replica" `Quick
+          test_read_only_commit_survives_one_lost_replica;
+        tc "read-only commit aborts after re-activation" `Quick
+          test_read_only_commit_aborts_after_reactivation;
         tc "pin: rpc round trip allocation" `Quick test_rpc_roundtrip_words;
         tc "pin: rpc round trip cost independent of concurrency" `Quick
           test_rpc_cost_independent_of_concurrency;
